@@ -7,7 +7,7 @@
 //! ```text
 //!            ┌────────┐   ┌────────┐        ┌─────────────┐
 //! fact table │ pre-   │ → │ filter │ → … →  │ distributor │ → per-query
-//! (circular  │processor│  │workers │        │   parts     │   exchanges
+//! (circular  │processor│  │ pool   │        │   parts     │   exchanges
 //!  scan)     └────────┘   └────────┘        └─────────────┘
 //! ```
 //!
@@ -26,6 +26,11 @@
 //!   key run, and a per-worker scratch keeps the steady-state loop free of
 //!   per-tuple heap allocations (the tuple-at-a-time reference kernel is
 //!   retained behind [`CjoinConfig::scalar_filter`]).
+//! * The **filter pool** ([`pool`]) runs the filters: one crew of workers
+//!   takes stamped pages from every stage on it, each stage bounded by its
+//!   `pipeline_depth` credits. A governed engine shares one machine-sized
+//!   pool across its fact stages; a standalone stage owns a private one of
+//!   [`CjoinConfig::n_workers`].
 //! * **Distributor parts** (the paper's fix for the single-threaded
 //!   distributor bottleneck) route surviving tuples to the queries whose bit
 //!   is set, applying per-query fact predicates (evaluated on CJOIN output,
@@ -40,6 +45,7 @@ pub mod epoch;
 pub mod fabric;
 pub mod filter;
 pub mod health;
+pub mod pool;
 pub mod publish;
 mod stage;
 pub mod window;
@@ -54,7 +60,9 @@ pub use filter::{
 pub use health::{
     AdmissionHealth, AdmissionHealthSnapshot, CjoinFaultPlan, LadderRung,
 };
+pub use pool::FilterPool;
 pub use stage::{
     CjoinConfig, CjoinOutput, CjoinRuntimeStats, CjoinStage, CjoinStats, FaultCell,
+    StageServices,
 };
 pub use wrap::WrapLedger;

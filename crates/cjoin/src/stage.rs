@@ -12,14 +12,15 @@ use workshare_common::value::Row;
 use workshare_common::{CostModel, OrderKey, Predicate, QueryBitmap, SelVec, StarQuery};
 
 use crate::admission::{admit_batch_serial, admit_batch_shared};
-use crate::epoch::EpochCell;
+use crate::epoch::{EpochCell, EpochReader};
 use crate::fabric::AdmissionFabric;
-use crate::health::{AdmissionHealth, CjoinFaultPlan, LadderRung};
-use crate::window::ShardedSlot;
-use crate::wrap::WrapLedger;
 use crate::filter::{
     filter_page_scalar, filter_page_vectorized, FilterCore, FilterScratch, FilteredPage,
 };
+use crate::health::{AdmissionHealth, CjoinFaultPlan, LadderRung};
+use crate::pool::{Credits, FilterPool, PoolJob};
+use crate::window::ShardedSlot;
+use crate::wrap::WrapLedger;
 use workshare_qpipe::batch::BatchBuilder;
 use workshare_qpipe::exchange::{Exchange, ExchangeKind, ExchangeReader};
 use workshare_sim::{CostKind, Machine, SimCtx, SimQueue, WaitSet};
@@ -28,7 +29,11 @@ use workshare_storage::{StorageManager, TableId};
 /// CJOIN stage configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CjoinConfig {
-    /// Filter worker threads (the paper's *horizontal* configuration).
+    /// Filter workers (the paper's *horizontal* configuration). A
+    /// standalone stage ([`CjoinStage::new`]) runs on a private
+    /// [`FilterPool`] of exactly this many workers. A governed engine's
+    /// stages share one pool of [`FilterPool::machine_sized`] workers, of
+    /// which this is the floor.
     pub n_workers: usize,
     /// Distributor parts (§3.2: the single-threaded distributor is a
     /// bottleneck; parts parallelize routing).
@@ -37,7 +42,9 @@ pub struct CjoinConfig {
     pub exchange: ExchangeKind,
     /// Output exchange capacity in pages.
     pub cap_pages: usize,
-    /// Pipeline queue depth (batches in flight between stages).
+    /// Pipeline queue depth: batches in flight between stages, and the
+    /// stage's credits on its [`FilterPool`] (fact pages queued, filtering,
+    /// or waiting on the distributors).
     pub pipeline_depth: usize,
     /// Enable SP over identical CJOIN packets (`CJOIN-SP`).
     pub sp: bool,
@@ -403,7 +410,7 @@ impl Admission {
 /// membership bitmap is shared by `Arc`: the preprocessor snapshots
 /// `active_bits` once per page and every downstream stage reads the same
 /// copy.
-struct WorkBatch {
+pub(crate) struct WorkBatch {
     page: workshare_common::codec::Page,
     members: Arc<QueryBitmap>,
 }
@@ -411,7 +418,7 @@ struct WorkBatch {
 /// A filtered page flowing to the distributor: the decoded rows (decoded
 /// once, by the filter worker) plus the survivor indices / bitmap bank /
 /// dimension matches produced by the filter kernel.
-struct DistBatch {
+pub(crate) struct DistBatch {
     rows: Vec<Row>,
     members: Arc<QueryBitmap>,
     page: FilteredPage,
@@ -424,6 +431,7 @@ pub(crate) struct StageInner {
     pub(crate) config: CjoinConfig,
     pub(crate) fact: TableId,
     pub(crate) fact_pages: u64,
+    fact_schema: Arc<workshare_common::Schema>,
     /// The epoch-published filter state ([`FilterEpoch`]): hot-path readers
     /// hold a per-thread [`crate::epoch::EpochReader`] and pay one `Acquire`
     /// load per page at steady state; writers publish the next snapshot via
@@ -445,8 +453,16 @@ pub(crate) struct StageInner {
     /// that drained it or stays for the next — never lost, never doubled.
     pub(crate) pending: ShardedSlot<Admission>,
     pub(crate) wake: WaitSet,
-    worker_q: SimQueue<Arc<WorkBatch>>,
-    dist_q: SimQueue<Arc<DistBatch>>,
+    /// The filter workers this stage's fact pages go to: the governed
+    /// engine's shared pool, or a private one this stage owns
+    /// (`owns_pool`) and shuts down with itself.
+    pool: FilterPool,
+    owns_pool: bool,
+    /// This incarnation's id on `pool` ([`FilterPool::register`]).
+    pub(crate) pool_id: u64,
+    /// The stage's share of `pool`: `pipeline_depth` pages at a time.
+    pub(crate) credits: Credits,
+    pub(crate) dist_q: SimQueue<Arc<DistBatch>>,
     /// Admission batches handed off by the preprocessor to the stage's own
     /// admission workers (per-stage shared-scan path): the preprocessor
     /// only snapshots the pending set; the scans run here, overlapping
@@ -454,11 +470,11 @@ pub(crate) struct StageInner {
     /// the stage.
     admission_q: SimQueue<Vec<Admission>>,
     /// Engine-level cross-stage admission pool, when the stage was built by
-    /// a governed engine's registry ([`CjoinStage::with_fabric`]); `None`
+    /// a governed engine's registry ([`CjoinStage::with_services`]); `None`
     /// for standalone stages, which fall back to their own workers.
     fabric: Option<AdmissionFabric>,
     /// Shared admission-health state, installed by a governed engine with
-    /// an armed, self-healing fault plan ([`CjoinStage::with_admission`]).
+    /// an armed, self-healing fault plan ([`StageServices::health`]).
     /// When present, the preprocessor routes pending batches by the live
     /// degradation-ladder rung instead of the static config; when `None`
     /// the stage behaves exactly as before the fault substrate existed.
@@ -468,10 +484,11 @@ pub(crate) struct StageInner {
     scan_ticks: AtomicU64,
     /// Cooperative stop flag. Written once with Release
     /// ([`CjoinStage::shutdown`]) and read with Acquire at the top of every
-    /// pipeline-thread loop: a thread that observes the flag also observes
-    /// every write the shutting-down thread made before raising it. The
-    /// flag alone is not a wakeup — `shutdown` also notifies `wake` and
-    /// closes the queues so parked threads re-check it.
+    /// pipeline-thread loop and by pool workers before each page: a thread
+    /// that observes the flag also observes every write the shutting-down
+    /// thread made before raising it. The flag alone is not a wakeup —
+    /// `shutdown` also notifies `wake` and the credits and closes the
+    /// queues so parked threads re-check it.
     shutdown: AtomicBool,
     sp_registry: Mutex<FxHashMap<u64, (u64, HostRef)>>,
     pub(crate) admitted: AtomicU64,
@@ -496,6 +513,79 @@ enum HostRef {
 }
 
 impl StageInner {
+    /// Whether [`CjoinStage::shutdown`] has run.
+    pub(crate) fn is_shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Filter one stamped fact page (a pool worker's unit of work): decode
+    /// it, probe this stage's shared filters through `reader`, charge the
+    /// work, and return the page for the distributor.
+    pub(crate) fn filter_batch(
+        &self,
+        ctx: &SimCtx,
+        batch: WorkBatch,
+        reader: &mut EpochReader<FilterEpoch>,
+        scratch: &mut FilterScratch,
+    ) -> DistBatch {
+        // Decode the page here, in the parallel tier (once per page — each
+        // page is taken by exactly one worker), keeping the circular-scan
+        // thread free of per-tuple work.
+        let rows = batch.page.decode_all(&self.fact_schema);
+        ctx.charge(CostKind::Scan, self.cost.scan_tuple_ns * rows.len() as f64);
+        let scalar = self.config.scalar_filter;
+        // Lock-free filter probe: the epoch observed here is at least as
+        // new as the one whose activation stamped this page's members
+        // (publish happens-before activate happens-before the stamp), so
+        // every stamped slot's entries are present.
+        let (page, counters) = {
+            let epoch = reader.current(&self.epoch);
+            if scalar {
+                filter_page_scalar(&epoch.filters, &rows, &batch.members)
+            } else {
+                filter_page_vectorized(&epoch.filters, &rows, &batch.members, scratch)
+            }
+        };
+        // Observed skew signal for the governor: this batch's tuple×filter
+        // probe steps per actual hash probe (key run), EWMA-folded so shifts
+        // in page clustering show up within a few batches.
+        if counters.key_runs > 0 {
+            ewma_fold(
+                &self.key_run_ewma,
+                counters.probes as f64 / counters.key_runs as f64,
+                0.1,
+            );
+        }
+        // Shared-operator bookkeeping costs (the §5.2.2 overhead). The
+        // scalar path charges per tuple; the vectorized path charges per key
+        // run + per bank word.
+        if scalar {
+            ctx.charge(
+                CostKind::Hashing,
+                self.cost.hash_probe_tuple_ns * counters.probes as f64,
+            );
+            ctx.charge(
+                CostKind::Join,
+                self.cost.shared_probe_extra_ns * counters.probes as f64
+                    + self.cost.bitmap_word_and_ns * counters.bitmap_words as f64,
+            );
+        } else {
+            ctx.charge(
+                CostKind::Hashing,
+                self.cost.filter_probe_run_ns * counters.key_runs as f64,
+            );
+            ctx.charge(
+                CostKind::Join,
+                self.cost.filter_batch_cost(0, counters.bitmap_words),
+            );
+        }
+        DistBatch {
+            rows,
+            members: batch.members,
+            page,
+        }
+    }
+
     /// Draw the next injection tick for this stage's scan-unit fault sites.
     pub(crate) fn scan_tick(&self) -> u64 {
         self.scan_ticks.fetch_add(1, Ordering::Relaxed)
@@ -522,6 +612,25 @@ impl StageInner {
     }
 }
 
+/// Engine-level services a stage can run on instead of its own
+/// ([`CjoinStage::with_services`]). The governed engine's stage registry
+/// hands every stage it builds the same ones.
+#[derive(Clone, Default)]
+pub struct StageServices {
+    /// Cross-stage admission pool. `None`: the stage spawns its own
+    /// admission workers ([`CjoinConfig::n_admission_workers`]).
+    pub fabric: Option<AdmissionFabric>,
+    /// Shared admission-health state, installed by a governed engine with
+    /// an armed, self-healing fault plan. With it the preprocessor routes
+    /// pending batches by the live degradation-ladder rung (fabric → pool →
+    /// serial) and the stage spawns its own admission workers even when
+    /// fabric-served, so the pool rung has somewhere to land.
+    pub health: Option<Arc<AdmissionHealth>>,
+    /// Shared filter workers. `None`: the stage owns a private
+    /// [`FilterPool`] of [`CjoinConfig::n_workers`].
+    pub filter_pool: Option<FilterPool>,
+}
+
 /// The CJOIN stage. Cheap to clone.
 #[derive(Clone)]
 pub struct CjoinStage {
@@ -531,8 +640,9 @@ pub struct CjoinStage {
 impl CjoinStage {
     /// Create a **standalone** stage over `fact_table` and spawn its
     /// pipeline threads. Admission runs on the stage's own fallback worker
-    /// pool ([`CjoinConfig::n_admission_workers`]); engines that batch
-    /// admission across stages use [`CjoinStage::with_fabric`] instead.
+    /// pool ([`CjoinConfig::n_admission_workers`]) and filtering on a
+    /// private [`FilterPool`] of [`CjoinConfig::n_workers`]; engines that
+    /// share those across stages use [`CjoinStage::with_services`].
     pub fn new(
         machine: &Machine,
         storage: &StorageManager,
@@ -540,40 +650,36 @@ impl CjoinStage {
         config: CjoinConfig,
         cost: CostModel,
     ) -> CjoinStage {
-        Self::with_fabric(machine, storage, fact_table, config, cost, None)
+        Self::with_services(
+            machine,
+            storage,
+            fact_table,
+            config,
+            cost,
+            StageServices::default(),
+        )
     }
 
-    /// Create the stage over `fact_table`, handing its pending admissions
-    /// to `fabric` when one is given (the governed engine's cross-stage
-    /// admission pool) instead of spawning per-stage admission workers.
-    /// With `None` this is exactly [`CjoinStage::new`].
-    pub fn with_fabric(
+    /// Create the stage over `fact_table` on the engine-level `services`
+    /// it is given ([`StageServices`]); each one left `None` is replaced by
+    /// the stage's own. With every service `None` this is exactly
+    /// [`CjoinStage::new`].
+    pub fn with_services(
         machine: &Machine,
         storage: &StorageManager,
         fact_table: &str,
         config: CjoinConfig,
         cost: CostModel,
-        fabric: Option<AdmissionFabric>,
+        services: StageServices,
     ) -> CjoinStage {
-        Self::with_admission(machine, storage, fact_table, config, cost, fabric, None)
-    }
-
-    /// Create the stage with full admission plumbing: an optional fabric
-    /// plus an optional shared [`AdmissionHealth`] handle. With a health
-    /// handle the preprocessor routes pending batches by the live
-    /// degradation-ladder rung (fabric → pool → serial) and the stage
-    /// spawns its own admission workers even when fabric-served, so the
-    /// pool rung has somewhere to land. Without one this is exactly
-    /// [`CjoinStage::with_fabric`].
-    pub fn with_admission(
-        machine: &Machine,
-        storage: &StorageManager,
-        fact_table: &str,
-        config: CjoinConfig,
-        cost: CostModel,
-        fabric: Option<AdmissionFabric>,
-        health: Option<Arc<AdmissionHealth>>,
-    ) -> CjoinStage {
+        let StageServices {
+            fabric,
+            health,
+            filter_pool,
+        } = services;
+        let owns_pool = filter_pool.is_none();
+        let pool = filter_pool.unwrap_or_else(|| FilterPool::new(machine, config.n_workers));
+        let pool_id = pool.register();
         let fact = storage.table(fact_table);
         let inner = Arc::new(StageInner {
             machine: machine.clone(),
@@ -582,6 +688,7 @@ impl CjoinStage {
             config,
             fact,
             fact_pages: storage.page_count(fact) as u64,
+            fact_schema: storage.schema(fact),
             epoch: EpochCell::new(FilterEpoch::default()),
             wrap: WrapLedger::new(WRAP_SLOT_CAPACITY),
             control: Mutex::new(GqpControl {
@@ -591,7 +698,10 @@ impl CjoinStage {
             }),
             pending: ShardedSlot::new(4),
             wake: WaitSet::new(machine),
-            worker_q: SimQueue::bounded(machine, config.pipeline_depth.max(1)),
+            pool,
+            owns_pool,
+            pool_id,
+            credits: Credits::new(machine, config.pipeline_depth),
             dist_q: SimQueue::bounded(machine, config.pipeline_depth.max(1)),
             admission_q: SimQueue::unbounded(machine),
             fabric,
@@ -609,9 +719,6 @@ impl CjoinStage {
         });
         let stage = CjoinStage { inner };
         stage.spawn_preprocessor();
-        for w in 0..config.n_workers.max(1) {
-            stage.spawn_worker(w);
-        }
         for d in 0..config.n_distributors.max(1) {
             stage.spawn_distributor(d);
         }
@@ -807,13 +914,18 @@ impl CjoinStage {
         }
     }
 
-    /// Stop the pipeline threads.
+    /// Stop the pipeline threads. Pool workers drop this stage's pages
+    /// from now on and keep serving the other stages; a private pool is
+    /// shut down with its stage.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake.notify_all();
-        self.inner.worker_q.close();
+        self.inner.credits.wake();
         self.inner.dist_q.close();
         self.inner.admission_q.close();
+        if self.inner.owns_pool {
+            self.inner.pool.shutdown();
+        }
     }
 
     // -----------------------------------------------------------------
@@ -833,7 +945,6 @@ impl CjoinStage {
             let mut stamp: Arc<QueryBitmap> = Arc::new(QueryBitmap::default());
             loop {
                 if inner.shutdown.load(Ordering::Acquire) {
-                    inner.worker_q.close();
                     return;
                 }
                 // Batched admission at page boundaries. The retained serial
@@ -927,12 +1038,22 @@ impl CjoinStage {
                     CostKind::Routing,
                     2_000.0 + 60.0 * members.count_ones() as f64,
                 );
-                let batch = Arc::new(WorkBatch {
-                    page,
-                    members: Arc::clone(&members),
-                });
-                if inner.worker_q.push(batch).is_err() {
+                // Hand the page to the filter pool once one of the stage's
+                // credits is free (the preprocessor blocks here, as it did
+                // on the former per-stage work queue).
+                if !inner.credits.acquire(&inner.shutdown) {
                     return; // shut down
+                }
+                let job = PoolJob {
+                    stage: Arc::clone(&inner),
+                    batch: WorkBatch {
+                        page,
+                        members: Arc::clone(&members),
+                    },
+                };
+                if inner.pool.submit(job).is_err() {
+                    inner.credits.release();
+                    return; // pool shut down (engine shutdown)
                 }
                 // Wrap bookkeeping: queries whose full wrap has been emitted
                 // stop receiving pages. Lock-free — one checked atomic
@@ -974,103 +1095,6 @@ impl CjoinStage {
                     // query; the batch just activated.
                     inner.wake.notify_all();
                 }
-            });
-    }
-
-    // -----------------------------------------------------------------
-    // Filter workers
-    // -----------------------------------------------------------------
-
-    fn spawn_worker(&self, idx: usize) {
-        let inner = Arc::clone(&self.inner);
-        let scalar = self.inner.config.scalar_filter;
-        self.inner
-            .machine
-            .clone()
-            .spawn(&format!("cjoin-filter-{idx}"), move |ctx| {
-                let schema = inner.storage.schema(inner.fact);
-                // Reusable per-worker scratch: in steady state the
-                // vectorized kernel performs zero heap allocations per
-                // tuple (allocations grow to the high-water batch size and
-                // stay).
-                let mut scratch = FilterScratch::default();
-                // Per-thread epoch reader: one `Acquire` version load per
-                // page at steady state; the slot lock is touched only when
-                // an admission published a new epoch.
-                let mut reader = inner.epoch.reader();
-                while let Some(batch) = inner.worker_q.pop() {
-                    // Decode the page here, in the parallel tier (once per
-                    // page — each page is popped by exactly one worker),
-                    // keeping the circular-scan thread free of per-tuple
-                    // work.
-                    let rows = batch.page.decode_all(&schema);
-                    ctx.charge(
-                        CostKind::Scan,
-                        inner.cost.scan_tuple_ns * rows.len() as f64,
-                    );
-                    // Lock-free filter probe: the epoch observed here is at
-                    // least as new as the one whose activation stamped this
-                    // page's members (publish happens-before activate
-                    // happens-before the stamp), so every stamped slot's
-                    // entries are present.
-                    let (page, counters) = {
-                        let epoch = reader.current(&inner.epoch);
-                        if scalar {
-                            filter_page_scalar(&epoch.filters, &rows, &batch.members)
-                        } else {
-                            filter_page_vectorized(
-                                &epoch.filters,
-                                &rows,
-                                &batch.members,
-                                &mut scratch,
-                            )
-                        }
-                    };
-                    // Observed skew signal for the governor: this batch's
-                    // tuple×filter probe steps per actual hash probe (key
-                    // run), EWMA-folded so shifts in page clustering show up
-                    // within a few batches.
-                    if counters.key_runs > 0 {
-                        ewma_fold(
-                            &inner.key_run_ewma,
-                            counters.probes as f64 / counters.key_runs as f64,
-                            0.1,
-                        );
-                    }
-                    // Shared-operator bookkeeping costs (the §5.2.2
-                    // overhead). The scalar path charges per tuple; the
-                    // vectorized path charges per key run + per bank word.
-                    if scalar {
-                        ctx.charge(
-                            CostKind::Hashing,
-                            inner.cost.hash_probe_tuple_ns * counters.probes as f64,
-                        );
-                        ctx.charge(
-                            CostKind::Join,
-                            inner.cost.shared_probe_extra_ns * counters.probes as f64
-                                + inner.cost.bitmap_word_and_ns
-                                    * counters.bitmap_words as f64,
-                        );
-                    } else {
-                        ctx.charge(
-                            CostKind::Hashing,
-                            inner.cost.filter_probe_run_ns * counters.key_runs as f64,
-                        );
-                        ctx.charge(
-                            CostKind::Join,
-                            inner.cost.filter_batch_cost(0, counters.bitmap_words),
-                        );
-                    }
-                    let dist = DistBatch {
-                        rows,
-                        members: Arc::clone(&batch.members),
-                        page,
-                    };
-                    if inner.dist_q.push(Arc::new(dist)).is_err() {
-                        return;
-                    }
-                }
-                inner.dist_q.close();
             });
     }
 
@@ -1974,5 +1998,77 @@ mod tests {
         .join()
         .unwrap();
         stage.shutdown();
+    }
+
+    #[test]
+    fn pool_keeps_serving_a_stage_after_another_is_torn_down() {
+        let (m, sm) = setup();
+        // Stage A scans a copy of the fact table ten times its size. Its
+        // output is never read and its pipeline is one page deep, so its
+        // distributor soon blocks on output, its distributor queue fills,
+        // and the pool's only worker blocks handing it a page — stage B
+        // gets no filtering until A is torn down.
+        let fs = sm.schema(sm.table("fact"));
+        let mut fb = PageBuilder::new(&fs);
+        for i in 0..30_000i64 {
+            fb.push(&[Value::Int(i % 10), Value::Int(i % 7), Value::Int(i)]);
+        }
+        sm.create_table("bigfact", (*fs).clone(), fb.finish());
+        let pool = FilterPool::new(&m, 1);
+        let on_pool = |fact, config| {
+            CjoinStage::with_services(
+                &m,
+                &sm,
+                fact,
+                config,
+                CostModel::default(),
+                StageServices {
+                    filter_pool: Some(pool.clone()),
+                    ..Default::default()
+                },
+            )
+        };
+        let a = on_pool(
+            "bigfact",
+            CjoinConfig {
+                n_distributors: 1,
+                pipeline_depth: 1,
+                cap_pages: 1,
+                ..Default::default()
+            },
+        );
+        let b = on_pool("fact", CjoinConfig::default());
+        let (a2, b2) = (a.clone(), b.clone());
+        let (jammed, served) = m
+            .spawn("coord", move |ctx| {
+                let mut big = query(1, false);
+                big.fact = "bigfact".into();
+                let _unread = a2.submit(&big);
+                ctx.sleep(5e6);
+                let before = b2.submit_aggregated(&query(2, true));
+                ctx.sleep(10e6);
+                let jammed = !before.is_done();
+                a2.shutdown();
+                // The worker dropped A's page and went on serving B: the
+                // query queued behind the jam completes, and so does one
+                // submitted after the teardown.
+                ctx.sleep(10e6);
+                if !before.is_done() {
+                    return (jammed, false);
+                }
+                assert_eq!(*before.wait(), expected(true));
+                let after = b2.submit_aggregated(&query(3, false));
+                assert_eq!(*after.wait(), expected(false));
+                (jammed, true)
+            })
+            .join()
+            .unwrap();
+        assert!(
+            jammed,
+            "stage A must hold the only worker before its teardown"
+        );
+        assert!(served, "the worker must serve stage B after A's teardown");
+        b.shutdown();
+        pool.shutdown();
     }
 }

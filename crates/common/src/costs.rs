@@ -4,8 +4,8 @@
 //! these constants. They are calibrated to commodity-server per-tuple costs
 //! (fractions of a microsecond per tuple), so virtual response times are
 //! directly comparable *in shape* to the paper's; absolute values are ~100×
-//! smaller because the datasets are generated at 1/100 row scale (see
-//! DESIGN.md §2).
+//! smaller because the datasets are generated at 1/100 row scale (the scale
+//! table is in the `workshare-datagen` crate docs).
 //!
 //! The constants deliberately encode the asymmetries the paper analyses:
 //!

@@ -49,8 +49,8 @@ pub enum NamedConfig {
     Cjoin,
     /// + SP over identical CJOIN packets.
     CjoinSp,
-    /// Tuple-at-a-time query-centric iterator engine (the Postgres
-    /// substitute of Fig. 16; see DESIGN.md §2).
+    /// Tuple-at-a-time query-centric iterator engine: the Postgres
+    /// substitute of Fig. 16, one private plan per query and no sharing.
     Volcano,
 }
 

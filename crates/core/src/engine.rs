@@ -12,7 +12,7 @@
 
 use workshare_cjoin::{
     AdmissionFabric, AdmissionHealth, CjoinConfig, CjoinRuntimeStats, CjoinStage, CjoinStats,
-    FabricStats, LadderRung,
+    FabricStats, FilterPool, LadderRung, StageServices,
 };
 use workshare_common::bind::try_bind;
 use workshare_common::fxhash::FxHashMap;
@@ -160,20 +160,25 @@ struct StageRegistry {
     storage: StorageManager,
     config: CjoinConfig,
     cost: CostModel,
-    /// Engine-level cross-stage admission pool, shared by every stage this
-    /// registry builds ([`RunConfig::admission_fabric`]); stages fall back
-    /// to their own per-stage workers when `None`. The fabric outlives
-    /// stage teardown — its workers hold no stage state between windows —
-    /// and is shut down with the engine.
-    fabric: Option<AdmissionFabric>,
+    /// The engine-level services every stage this registry builds runs on:
+    ///
+    /// * `fabric`: the cross-stage admission pool
+    ///   ([`RunConfig::admission_fabric`]); stages fall back to their own
+    ///   per-stage workers when `None`. Its workers hold no stage state
+    ///   between windows, so it outlives stage teardown.
+    /// * `filter_pool`: the machine-sized filter workers. They spawn with
+    ///   the first stage and outlive stage teardown.
+    /// * `health`: the shared admission-health state (ladder rung +
+    ///   fault/recovery counters), present iff
+    ///   [`FaultPlan::heals`](crate::config::FaultPlan) — stages route
+    ///   pending batches by its live rung, the fabric runs supervised
+    ///   windows under it, and the health monitor drives it.
+    ///
+    /// The fabric and the filter pool are shut down with the engine.
+    services: StageServices,
     /// Stage lifecycle: lease-counted lazy checkout, teardown at refcount
     /// zero with counters absorbed into the retired ledger.
     leases: LeaseRegistry<TableId, FactStage>,
-    /// Shared admission-health state (ladder rung + fault/recovery
-    /// counters), present iff [`FaultPlan::heals`](crate::config::FaultPlan)
-    /// — stages route pending batches by its live rung, the fabric runs
-    /// supervised windows under it, and the health monitor drives it.
-    health: Option<Arc<AdmissionHealth>>,
     /// Stride of the injected stage-build fault site
     /// ([`FaultPlan::stage_build_stride`](crate::config::FaultPlan)).
     stage_build_stride: Option<u64>,
@@ -209,8 +214,7 @@ impl StageRegistry {
         storage: &StorageManager,
         config: CjoinConfig,
         cost: CostModel,
-        fabric: Option<AdmissionFabric>,
-        health: Option<Arc<AdmissionHealth>>,
+        services: StageServices,
         stage_build_stride: Option<u64>,
     ) -> StageRegistry {
         StageRegistry {
@@ -218,9 +222,8 @@ impl StageRegistry {
             storage: storage.clone(),
             config,
             cost,
-            fabric,
+            services,
             leases: LeaseRegistry::new(),
-            health,
             stage_build_stride,
             stage_builds: AtomicU64::new(0),
             stage_rebuilds: AtomicU64::new(0),
@@ -234,14 +237,13 @@ impl StageRegistry {
     fn build_stage(&self, fact_name: &str) -> FactStage {
         FactStage {
             fact_name: fact_name.to_string(),
-            stage: CjoinStage::with_admission(
+            stage: CjoinStage::with_services(
                 &self.machine,
                 &self.storage,
                 fact_name,
                 self.config,
                 self.cost,
-                self.fabric.clone(),
-                self.health.clone(),
+                self.services.clone(),
             ),
         }
     }
@@ -309,7 +311,7 @@ impl StageRegistry {
     /// idle so it never advances the virtual clock of a quiet engine.
     fn spawn_health_monitor(self: &Arc<Self>, health: Arc<AdmissionHealth>) {
         let registry = Arc::clone(self);
-        let top = if registry.fabric.is_some() {
+        let top = if registry.services.fabric.is_some() {
             LadderRung::Fabric
         } else {
             LadderRung::Pool
@@ -342,7 +344,7 @@ impl StageRegistry {
                 // progress across consecutive ticks means the pool is
                 // wedged (not merely busy).
                 let mut stalled = false;
-                if let Some(fabric) = &registry.fabric {
+                if let Some(fabric) = &registry.services.fabric {
                     if health.rung() == LadderRung::Fabric {
                         let windows = fabric.windows_processed();
                         if fabric.pending_queries() > 0 && windows == last_windows {
@@ -361,7 +363,7 @@ impl StageRegistry {
                 }
                 if stalled {
                     health.demote();
-                    if let Some(fabric) = &registry.fabric {
+                    if let Some(fabric) = &registry.services.fabric {
                         // Re-route the dark pool's held work through the
                         // pool/serial rung and stand up a replacement
                         // worker so a later promotion has a live fabric.
@@ -428,10 +430,25 @@ impl StageRegistry {
         (0, rt)
     }
 
+    /// Filter workers one live stage can count on: the shared pool split
+    /// evenly over the live stages (the whole pool when none is live), or
+    /// a stage's own crew when the stages run private pools.
+    fn filter_share(&self) -> f64 {
+        let Some(pool) = &self.services.filter_pool else {
+            return self.config.n_workers.max(1) as f64;
+        };
+        let mut live = 0usize;
+        self.leases.for_each_live(|_, _| live += 1);
+        pool.n_workers() as f64 / live.max(1) as f64
+    }
+
     /// Queries pending on the cross-stage admission fabric (0 without one):
     /// the governor's `cross_stage_pending` signal.
     fn fabric_pending(&self) -> u64 {
-        self.fabric.as_ref().map_or(0, |f| f.pending_queries())
+        self.services
+            .fabric
+            .as_ref()
+            .map_or(0, |f| f.pending_queries())
     }
 
     /// Aggregate CJOIN counters over every stage ever built (live +
@@ -445,7 +462,7 @@ impl StageRegistry {
             .for_each_live(|_, entry| total.absorb(&entry.value.stage.stats()));
         self.leases
             .for_each_retired(|_, cell| total.absorb(&cell.stats));
-        if let Some(fabric) = &self.fabric {
+        if let Some(fabric) = &self.services.fabric {
             total.admission_dim_pages += fabric.stats().admission_dim_pages;
         }
         total
@@ -483,17 +500,20 @@ impl StageRegistry {
         rows
     }
 
-    /// Shut every live stage down, then the shared admission fabric
-    /// (engine shutdown). The health monitor is stopped first so it cannot
-    /// act on the dying fabric.
+    /// Shut every live stage down, then the shared admission fabric and
+    /// filter pool (engine shutdown). The health monitor is stopped first
+    /// so it cannot act on the dying fabric.
     fn shutdown_all(&self) {
         self.monitor_stop.store(true, Ordering::Release);
         self.monitor_ws.notify_all();
         for fs in self.leases.drain_live() {
             fs.stage.shutdown();
         }
-        if let Some(fabric) = &self.fabric {
+        if let Some(fabric) = &self.services.fabric {
             fabric.shutdown();
+        }
+        if let Some(pool) = &self.services.filter_pool {
+            pool.shutdown();
         }
     }
 }
@@ -521,8 +541,6 @@ struct Governed {
     multifact: bool,
     /// Virtual cores (saturation divisor of the query-centric estimate).
     cores: f64,
-    /// CJOIN filter workers (parallelism divisor of the shared estimate).
-    pipeline_parallelism: f64,
     /// Sequential disk bandwidth, bytes per virtual second; 0 when the
     /// database is memory-resident (no I/O terms in the estimates).
     disk_bandwidth: f64,
@@ -636,16 +654,33 @@ impl Engine {
                         // a service queue cap, the fabric advertises the same
                         // cap as its pending depth so try_submit sheds before
                         // the backlog grows unbounded.
-                        has_fabric.then(|| {
-                            AdmissionFabric::with_recovery(
+                        StageServices {
+                            fabric: has_fabric.then(|| {
+                                AdmissionFabric::with_recovery(
+                                    machine,
+                                    config.admission_fabric_workers,
+                                    config.service.queue_cap.map_or(u64::MAX, |cap| cap as u64),
+                                    config.faults.cjoin_faults(),
+                                    health.clone(),
+                                )
+                            }),
+                            // One machine-sized filter crew for every stage:
+                            // a core for a circular scan and one per fabric
+                            // worker are left over.
+                            filter_pool: Some(FilterPool::new(
                                 machine,
-                                config.admission_fabric_workers,
-                                config.service.queue_cap.map_or(u64::MAX, |cap| cap as u64),
-                                config.faults.cjoin_faults(),
-                                health.clone(),
-                            )
-                        }),
-                        health.clone(),
+                                FilterPool::machine_sized(
+                                    config.cjoin_config().n_workers,
+                                    config.cores as usize,
+                                    if has_fabric {
+                                        config.admission_fabric_workers.max(1)
+                                    } else {
+                                        0
+                                    },
+                                ),
+                            )),
+                            health: health.clone(),
+                        },
                         config.faults.stage_build_stride,
                     ));
                     if let Some(h) = &health {
@@ -664,7 +699,6 @@ impl Engine {
                 primary_fact: storage.table(fact_table),
                 multifact: config.multifact,
                 cores: config.cores as f64,
-                pipeline_parallelism: config.cjoin_config().n_workers.max(1) as f64,
                 disk_bandwidth: if config.io_mode == workshare_storage::IoMode::Memory {
                     0.0
                 } else {
@@ -784,7 +818,7 @@ impl Engine {
         let Some(cap) = g.service.queue_cap else {
             return Ok(None);
         };
-        if let Some(fabric) = &g.registry.fabric {
+        if let Some(fabric) = &g.registry.services.fabric {
             if !fabric.has_capacity() {
                 return Err(ShedReason::QueueFull);
             }
@@ -862,7 +896,8 @@ impl Engine {
             // saturation terms of the shared estimate).
             stage_in_flight: (stage_in_flight as f64).max(rt.active_queries as f64),
             cores: g.cores,
-            pipeline_parallelism: g.pipeline_parallelism,
+            // The candidate stage's real share of the shared filter pool.
+            pipeline_parallelism: g.registry.filter_share(),
             fact_bytes: storage.table_bytes(fact_t) as f64,
             disk_bandwidth_bytes_per_sec: g.disk_bandwidth,
             ..cold
@@ -1217,7 +1252,7 @@ impl Engine {
     /// ungoverned engines and when the per-stage pools serve admission.
     pub fn fabric_stats(&self) -> Option<FabricStats> {
         match &self.inner.kind {
-            EngineKind::Governed(g) => g.registry.fabric.as_ref().map(|f| f.stats()),
+            EngineKind::Governed(g) => g.registry.services.fabric.as_ref().map(|f| f.stats()),
             _ => None,
         }
     }
@@ -1234,6 +1269,7 @@ impl Engine {
                 storage,
                 admission: g
                     .registry
+                    .services
                     .health
                     .as_ref()
                     .map(|h| h.snapshot())
@@ -1266,5 +1302,48 @@ impl Engine {
                 g.qpipe.shutdown();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dataset::Dataset;
+    use crate::workload::{rng, ssb_q3_2};
+
+    /// The shared estimate's `pipeline_parallelism` for a star query over
+    /// `lineorder`, read while `live` stages hold a lease on an engine of
+    /// `cores` virtual cores.
+    fn governor_parallelism(cores: u32, live: &[&str]) -> f64 {
+        let data = Dataset::ssb_two_facts(0.01, 7);
+        let mut cfg = RunConfig::governed(ExecPolicy::Adaptive);
+        cfg.cores = cores;
+        let machine = Machine::new(cfg.machine_config());
+        let storage = data.instantiate(cfg.storage_config(), cfg.cost);
+        let engine = Engine::new(&machine, &storage, &cfg, "lineorder");
+        let EngineKind::Governed(g) = &engine.inner.kind else {
+            unreachable!("governed config builds a governed engine")
+        };
+        let leases: Vec<StageLease> = live
+            .iter()
+            .map(|fact| g.registry.checkout(storage.table(fact), fact).1)
+            .collect();
+        let q = ssb_q3_2(0, &mut rng(1));
+        let p = engine.live_signals(g, &q).pipeline_parallelism;
+        for lease in &leases {
+            lease.release();
+        }
+        engine.shutdown();
+        p
+    }
+
+    #[test]
+    fn governor_sees_its_stage_share_of_the_filter_pool() {
+        // 8 cores: the pool keeps the per-stage floor of 6, all of it for
+        // the one live stage.
+        assert_eq!(governor_parallelism(8, &["lineorder"]), 6.0);
+        // 24 cores: 22 workers split over two live stages.
+        assert_eq!(governor_parallelism(24, &["lineorder", "lineorder2"]), 11.0);
+        assert_eq!(governor_parallelism(24, &["lineorder"]), 22.0);
     }
 }

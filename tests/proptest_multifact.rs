@@ -2,7 +2,9 @@
 //! mixed workloads over two fact tables must produce identical joined rows
 //! and aggregates on the sharded governed engine, the per-query Volcano
 //! oracle, and the legacy single-stage-with-QPipe-fallback topology —
-//! mirroring the `scalar_filter` / `serial_admission` oracle pattern.
+//! mirroring the `scalar_filter` / `serial_admission` oracle pattern. The
+//! same mixes also run on two stages sharing one filter pool of several
+//! sizes, with one stage torn down and rebuilt mid-run.
 
 use std::sync::OnceLock;
 
@@ -10,9 +12,11 @@ use proptest::prelude::*;
 
 use workshare::harness::run_batch;
 use workshare::{ExecPolicy, NamedConfig, RunConfig, StarQuery};
+use workshare_cjoin::{CjoinStage, FilterPool, StageServices};
 use workshare_common::value::Row;
 use workshare_common::{AggSpec, ColRef, DimJoin, OrderKey, Predicate, Value};
 use workshare_datagen::{customer_schema, date_schema, supplier_schema, NATIONS};
+use workshare_sim::Machine;
 
 fn ssb2() -> &'static workshare::Dataset {
     static D: OnceLock<workshare::Dataset> = OnceLock::new();
@@ -98,8 +102,90 @@ fn results_of(cfg: &RunConfig, queries: &[StarQuery]) -> Vec<Vec<Row>> {
         .collect()
 }
 
+/// Run `queries` on one `lineorder` and one `lineorder2` stage sharing a
+/// filter pool of `pool_size` workers, each query through the stage's
+/// shared aggregation. With `rebuild`, the `lineorder` stage is torn down
+/// once its first-half queries are done — `lineorder2`'s may still be
+/// running on the pool — and a fresh incarnation over the same fact serves
+/// the second half.
+fn pooled_results(queries: &[StarQuery], pool_size: usize, rebuild: bool) -> Vec<Vec<Row>> {
+    let cfg = RunConfig::governed(ExecPolicy::Shared);
+    let machine = Machine::new(cfg.machine_config());
+    let storage = ssb2().instantiate(cfg.storage_config(), cfg.cost);
+    let pool = FilterPool::new(&machine, pool_size);
+    let queries = queries.to_vec();
+    let m = machine.clone();
+    machine
+        .spawn("coord", move |_| {
+            let build = |fact: &str| {
+                CjoinStage::with_services(
+                    &m,
+                    &storage,
+                    fact,
+                    cfg.cjoin_config(),
+                    cfg.cost,
+                    StageServices {
+                        filter_pool: Some(pool.clone()),
+                        ..Default::default()
+                    },
+                )
+            };
+            let mut lineorder = build("lineorder");
+            let lineorder2 = build("lineorder2");
+            let on = |lineorder: &CjoinStage, q: &StarQuery| {
+                if q.fact == "lineorder" {
+                    lineorder.submit_aggregated(q)
+                } else {
+                    lineorder2.submit_aggregated(q)
+                }
+            };
+            let half = queries.len().div_ceil(2);
+            let mut handles: Vec<_> = queries[..half].iter().map(|q| on(&lineorder, q)).collect();
+            if rebuild {
+                for (q, h) in queries[..half].iter().zip(&handles) {
+                    if q.fact == "lineorder" {
+                        h.wait();
+                    }
+                }
+                lineorder.shutdown();
+                lineorder = build("lineorder");
+            }
+            handles.extend(queries[half..].iter().map(|q| on(&lineorder, q)));
+            let rows = handles.iter().map(|h| (*h.wait()).clone()).collect();
+            lineorder.shutdown();
+            lineorder2.shutdown();
+            pool.shutdown();
+            rows
+        })
+        .join()
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Two fact stages on one shared filter pool of 1, 2 or 22 workers,
+    /// optionally tearing one stage down and rebuilding it for the same
+    /// fact mid-run: every query's rows match Volcano.
+    #[test]
+    fn shared_filter_pool_matches_the_query_centric_oracle(
+        mut queries in proptest::collection::vec(arb_query(), 1..6),
+        size in 0usize..3,
+        rebuild in proptest::bool::ANY,
+    ) {
+        for (i, q) in queries.iter_mut().enumerate() {
+            q.id = i as u64;
+        }
+        let pool_size = [1, 2, 22][size];
+        let reference = results_of(&RunConfig::named(NamedConfig::Volcano), &queries);
+        prop_assert_eq!(
+            pooled_results(&queries, pool_size, rebuild),
+            reference,
+            "pool of {} (rebuild {}) diverged from Volcano",
+            pool_size,
+            rebuild
+        );
+    }
 
     /// Sharded per-fact stages vs. the per-query Volcano oracle vs. the
     /// legacy single-stage topology (foreign fact → QPipe-with-sharing):

@@ -1,4 +1,6 @@
-//! Property-based tests of the substrate invariants (DESIGN.md §6).
+//! Property-based tests of the substrate invariants: the row codec round
+//! trip, `QueryBitmap` against reference set semantics, predicate
+//! evaluation against a naive model, and the scheduler's work conservation.
 
 use proptest::prelude::*;
 
