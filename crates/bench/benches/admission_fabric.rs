@@ -19,7 +19,8 @@
 //!
 //! ```text
 //! {"bench":"speedup_admission_fabric/32","fabric_secs":…,
-//!  "perstage_secs":…,"ratio":…,"fabric_pages":…,"perstage_pages":…}
+//!  "perstage_secs":…,"ratio":…,"fabric_pages":…,"perstage_pages":…,
+//!  "fabric_decodes":…,"perstage_decodes":…}
 //! ```
 //!
 //! Acceptance (checked by this binary, non-zero exit on failure) at 32
@@ -29,7 +30,11 @@
 //!   the per-stage pools, and
 //! * the physical scan count proves each shared dimension was scanned once
 //!   per batch window: `admission_dim_pages` equals the distinct dimension
-//!   page count × windows, and undercuts the per-stage pools' reads.
+//!   page count × windows, and undercuts the per-stage pools' reads;
+//! * the decode count proves each pool decoded each distinct dimension page
+//!   exactly once: the fabric's one cache decodes the distinct page count
+//!   (`FabricStats::dim_page_decodes`), the two per-stage pools twice that
+//!   (`CjoinStats::admission_dim_decodes`).
 
 use workshare_core::harness::run_batch;
 use workshare_core::{workload, Dataset, ExecPolicy, RunConfig, StarQuery};
@@ -75,14 +80,18 @@ fn main() {
         let fs = fabric_run.fabric.expect("fabric run reports FabricStats");
         let fabric_pages = fabric_run.cjoin.clone().unwrap().admission_dim_pages;
         let perstage_pages = perstage_run.cjoin.clone().unwrap().admission_dim_pages;
+        let fabric_decodes = fs.dim_page_decodes;
+        let perstage_decodes = perstage_run.cjoin.clone().unwrap().admission_dim_decodes;
         println!(
-            "{{\"bench\":\"speedup_admission_fabric/{}\",\"fabric_secs\":{:.6},\"perstage_secs\":{:.6},\"ratio\":{:.3},\"fabric_pages\":{},\"perstage_pages\":{},\"windows\":{},\"cross_stage_windows\":{}}}",
+            "{{\"bench\":\"speedup_admission_fabric/{}\",\"fabric_secs\":{:.6},\"perstage_secs\":{:.6},\"ratio\":{:.3},\"fabric_pages\":{},\"perstage_pages\":{},\"fabric_decodes\":{},\"perstage_decodes\":{},\"windows\":{},\"cross_stage_windows\":{}}}",
             n,
             fabric_run.admission_secs(),
             perstage_run.admission_secs(),
             ratio,
             fabric_pages,
             perstage_pages,
+            fabric_decodes,
+            perstage_decodes,
             fs.batches,
             fs.cross_stage_batches,
         );
@@ -93,6 +102,20 @@ fn main() {
             failures.push(format!(
                 "fabric read {fabric_pages} pages over {} windows; expected {} per window",
                 fs.batches, pages_once
+            ));
+        }
+        // Cold engines: each pool decodes each distinct dimension page
+        // exactly once — the fabric once for both stages, each per-stage
+        // pool once for its own.
+        if fabric_decodes != pages_once {
+            failures.push(format!(
+                "fabric decoded {fabric_decodes} pages at {n} queries; expected {pages_once}"
+            ));
+        }
+        if perstage_decodes != 2 * pages_once {
+            failures.push(format!(
+                "per-stage pools decoded {perstage_decodes} pages at {n} queries; expected {}",
+                2 * pages_once
             ));
         }
         if fs.cross_stage_batches == 0 {

@@ -20,6 +20,10 @@
 //! page via [`Predicate::eval_batch_multi`], and stages one merged
 //! [`DimEntry`] insert per selected row **per stage filter**, delivered
 //! as a single filter-epoch publish per stage ([`crate::epoch`]).
+//!
+//! The two pooled paths decode each dimension page once per pool: the
+//! pool's [`DimPageCache`] keeps the decoded rows, and later scans of the
+//! page stage `Arc` clones of them ([`crate::dimcache`]).
 
 // Atomics come through the swappable sync layer: `run_scan_unit` shares
 // page counters with the fabric, whose `--cfg interleave` build swaps the
@@ -35,6 +39,7 @@ use workshare_common::{BitmapBank, Predicate, QueryBitmap, SelVec};
 use workshare_sim::{CostKind, SimCtx};
 use workshare_storage::{StorageError, TableId};
 
+use crate::dimcache::{DecodedPage, DimPageCache};
 use crate::filter::DimEntry;
 use crate::health::{SITE_SCAN_PANIC, SITE_SCAN_STALL};
 use crate::stage::{
@@ -90,6 +95,16 @@ pub(crate) struct ScanUnit {
     pub dim: TableId,
     pub pk_idx: usize,
     pub parts: Vec<UnitPart>,
+}
+
+/// The admission pool a shared scan runs on: its decoded-page cache, and
+/// the counter its scanned pages land in — the fabric's
+/// ([`crate::FabricStats::admission_dim_pages`]) or, on a stage's own pool,
+/// the stage's `admission_dim_pages`.
+#[derive(Clone, Copy)]
+pub(crate) struct ScanPool<'a> {
+    pub cache: &'a DimPageCache,
+    pub pages: &'a AtomicU64,
 }
 
 /// Fold `sample` into the stage's per-dimension admission-selectivity EWMA
@@ -202,22 +217,31 @@ pub(crate) fn build_units(prepared: &[PreparedBatch]) -> Vec<ScanUnit> {
 }
 
 /// Phase 2: scan `unit.dim` **once** for every pending query in the unit.
-/// Each page is decoded once, all predicates are evaluated over it in one
-/// pass into a per-query selection bank, and each selected row is staged as
-/// one merged insert per `(stage, filter)` carrying every selecting query's
-/// slot bit. Staged inserts are merged into each stage's live filters via a
-/// single epoch publish per stage at the end of the scan (no virtual-time
-/// operation happens while the writer lock is held).
+/// Each page is decoded once per admission pool (`pool.cache`), all
+/// predicates are evaluated over it in one pass into a per-query selection
+/// bank, and each selected row is staged as one merged insert per
+/// `(stage, filter)` carrying every selecting query's slot bit. Staged
+/// inserts are merged into each stage's live filters via a single epoch
+/// publish per stage at the end of the scan (no virtual-time operation
+/// happens while the writer lock is held).
+///
+/// **Decoded-page cache**: a page whose slot in `pool.cache` is filled is
+/// neither read nor decoded again; its predicates run over the cached rows
+/// and the staged entries share those rows by `Arc`. A page missing from
+/// the cache is read through the fault-aware storage path, decoded, and
+/// filled into its slot — only after a successful read, so a page whose
+/// read fails stays uncached and the next scan retries it. The decode
+/// (`scan_tuple_ns`) is charged only for rows decoded on this call.
 ///
 /// `pages` restricts the scan to a page subrange: the fabric partitions a
 /// large unit across parallel subscans (dimension primary keys are unique,
 /// so subranges stage disjoint filter entries and merge without conflict);
 /// `None` scans the whole table — the per-stage pool path.
 ///
-/// Physical-read attribution: each page increments `fabric_pages` when the
-/// scan runs on the engine-level fabric (the page is read once *for several
-/// stages*, so charging any one stage would misattribute it), or the owning
-/// stage's `admission_dim_pages` on the per-stage pool path. The logical
+/// Page attribution: each page scanned, cached or not, increments
+/// `pool.pages` — the fabric's counter (a page read once *for several
+/// stages* belongs to none of them) or the owning stage's
+/// `admission_dim_pages` on the per-stage pool path. The logical
 /// per-query volume (`admission_dim_rows`) is always attributed per stage
 /// and is batching-invariant.
 ///
@@ -232,12 +256,15 @@ pub(crate) fn build_units(prepared: &[PreparedBatch]) -> Vec<ScanUnit> {
 /// page/row counters, filter-entry merges — happens only after winning the
 /// [`ScanAttempt::try_claim`] race, so a straggler and its re-dispatched
 /// replacement publish exactly once between them (the protocol
-/// model-checked by `tests/interleave_core.rs`).
+/// model-checked by `tests/interleave_core.rs`). The one exception is the
+/// cache fill: it publishes the page's decoded rows, which are the same
+/// whichever attempt decodes them, through a write-once slot (also
+/// model-checked there).
 pub(crate) fn run_scan_unit(
     ctx: &SimCtx,
     stages: &[&StageInner],
     unit: &ScanUnit,
-    fabric_pages: Option<&AtomicU64>,
+    pool: ScanPool<'_>,
     pages: Option<(usize, usize)>,
     attempt: Option<&ScanAttempt>,
     inject: bool,
@@ -261,8 +288,9 @@ pub(crate) fn run_scan_unit(
     }
     let dim_schema = primary.storage.schema(unit.dim);
     let stream = primary.storage.new_stream();
-    let (page_lo, page_hi) =
-        pages.unwrap_or((0, primary.storage.page_count(unit.dim)));
+    let npages = primary.storage.page_count(unit.dim);
+    let slots = pool.cache.table(unit.dim, npages);
+    let (page_lo, page_hi) = pages.unwrap_or((0, npages));
     let nq = unit.parts.len();
     let total_terms: usize = unit.parts.iter().map(|p| p.terms.max(1)).sum();
     let preds: Vec<&Predicate> = unit.parts.iter().map(|p| &p.pred).collect();
@@ -275,22 +303,28 @@ pub(crate) fn run_scan_unit(
     let mut buckets: Vec<((usize, usize), StagedEntries)> = Vec::new();
     let mut bucket_of: FxHashMap<(usize, usize), usize> = FxHashMap::default();
     let mut rows_scanned = 0u64;
-    let mut pages_read = 0u64;
+    let mut pages_scanned = 0u64;
     // Selectivity samples staged per (stage, sample): folded into the
     // per-dimension EWMAs only at publish time, behind the claim, so a
     // re-dispatched straggler never double-folds the governor signal.
     let mut sel_samples: Vec<(usize, f64)> = Vec::new();
     for p in page_lo..page_hi {
-        let page = primary.storage.try_read_page(ctx, unit.dim, p, stream)?;
-        let rows = page.decode_all(&dim_schema);
+        let (rows, decoded) = pool.cache.get_or_fill(&slots[p], || {
+            let page = primary.storage.try_read_page(ctx, unit.dim, p, stream)?;
+            Ok::<DecodedPage, StorageError>(
+                page.decode_all(&dim_schema).into_iter().map(Arc::new).collect(),
+            )
+        })?;
         rows_scanned += rows.len() as u64;
-        pages_read += 1;
-        // The page is decoded/hashed once for however many stages and
-        // pending queries share it; each query pays only its predicate
-        // evaluation at the batch rate.
+        pages_scanned += 1;
+        // The page is decoded once per pool and hashed once for however
+        // many stages and pending queries share it; each query pays only
+        // its predicate evaluation at the batch rate.
         ctx.charge(
             CostKind::Admission,
-            primary.cost.admission_batch_cost(rows.len(), nq, total_terms),
+            primary
+                .cost
+                .admission_batch_cost(rows.len(), decoded, nq, total_terms),
         );
         Predicate::eval_batch_multi(&preds, &rows, &mut bank, &mut scratch, &mut hits);
         if !rows.is_empty() {
@@ -300,12 +334,11 @@ pub(crate) fn run_scan_unit(
                 sel_samples.push((part.stage_idx, hits[q] as f64 / rows.len() as f64));
             }
         }
-        for (i, row) in rows.into_iter().enumerate() {
+        for (i, row) in rows.iter().enumerate() {
             if !bank.row_any(i) {
                 continue;
             }
             let key = row[unit.pk_idx].as_int();
-            let arc = Arc::new(row);
             for q in bank.row_ones(i) {
                 let part = &unit.parts[q];
                 let bkey = (part.stage_idx, part.fi);
@@ -317,14 +350,14 @@ pub(crate) fn run_scan_unit(
                 // Parts land row-major: if this bucket's tail entry is the
                 // current row, merge the slot bit instead of re-staging.
                 if let Some(last) = entries.last_mut() {
-                    if Arc::ptr_eq(&last.1, &arc) {
+                    if Arc::ptr_eq(&last.1, row) {
                         last.2.set(part.slot as usize);
                         continue;
                     }
                 }
                 let mut bits = QueryBitmap::zeros(64);
                 bits.set(part.slot as usize);
-                entries.push((key, Arc::clone(&arc), bits));
+                entries.push((key, Arc::clone(row), bits));
             }
         }
     }
@@ -332,7 +365,8 @@ pub(crate) fn run_scan_unit(
     // Under fabric supervision both the original attempt and a straggler
     // re-dispatch may reach this point; the single-CAS claim picks exactly
     // one publisher. The loser's staged entries are discarded wholesale —
-    // the scan above only read pages and charged costs.
+    // the scan above only read pages, filled the pool's cache (the same
+    // rows whoever fills it) and charged costs.
     if let Some(att) = attempt {
         if !att.try_claim() {
             return Ok(());
@@ -341,12 +375,7 @@ pub(crate) fn run_scan_unit(
     for (si, sample) in sel_samples {
         fold_dim_selectivity(stages[si], unit.dim, sample);
     }
-    match fabric_pages {
-        Some(counter) => counter.fetch_add(pages_read, Ordering::Relaxed),
-        None => primary
-            .admission_dim_pages
-            .fetch_add(pages_read, Ordering::Relaxed),
-    };
+    pool.pages.fetch_add(pages_scanned, Ordering::Relaxed);
     // Logical per-query scan volume, attributed per stage: each of a
     // stage's parts evaluated every row of the dimension.
     let mut parts_per_stage = vec![0u64; stages.len()];
@@ -421,9 +450,10 @@ pub(crate) fn activate_batch(inner: &StageInner, prepared: PreparedBatch) {
 ///
 /// 1. Slot allocation and shared-filter registration for the whole batch
 ///    under one epoch publish ([`prepare_batch`]).
-/// 2. One physical scan per distinct dimension table referenced by the
-///    batch, evaluating *all* pending predicates against each decoded page
-///    ([`run_scan_unit`]).
+/// 2. One scan per distinct dimension table referenced by the batch,
+///    evaluating *all* pending predicates against each decoded page
+///    ([`run_scan_unit`]); pages are decoded once per stage, into the
+///    stage's [`DimPageCache`].
 /// 3. Batch-wide activation ([`activate_batch`]).
 ///
 /// The preprocessor keeps producing fact pages for already-active queries
@@ -433,6 +463,7 @@ pub(crate) fn activate_batch(inner: &StageInner, prepared: PreparedBatch) {
 pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<Admission>) {
     let prepared = prepare_batch(inner, ctx, pending);
     let units = build_units(std::slice::from_ref(&prepared));
+    let pool = inner.own_pool();
     let mut failure: Option<String> = None;
     for unit in &units {
         // With faults armed, an injected scan-unit panic is caught here and
@@ -441,13 +472,13 @@ pub(crate) fn admit_batch_shared(inner: &StageInner, ctx: &SimCtx, pending: Vec<
         // genuine bug still fails loudly.
         let outcome = if inner.config.faults.is_armed() {
             match catch_unwind(AssertUnwindSafe(|| {
-                run_scan_unit(ctx, &[inner], unit, None, None, None, true)
+                run_scan_unit(ctx, &[inner], unit, pool, None, None, true)
             })) {
                 Ok(r) => r.map_err(|e| e.to_string()),
                 Err(_) => Err("admission scan unit panicked".to_string()),
             }
         } else {
-            run_scan_unit(ctx, &[inner], unit, None, None, None, true)
+            run_scan_unit(ctx, &[inner], unit, pool, None, None, true)
                 .map_err(|e| e.to_string())
         };
         if let Err(msg) = outcome {
@@ -485,8 +516,9 @@ pub(crate) fn fail_batch(inner: &StageInner, prepared: PreparedBatch, msg: &str)
 
 /// The retained **serial** admission path (the seed's semantics, kept as
 /// the behavioral oracle behind [`crate::CjoinConfig::serial_admission`]):
-/// runs on the preprocessor thread in one pipeline pause, scanning every
-/// dimension table once **per pending query**.
+/// runs on the preprocessor thread in one pipeline pause, reading and
+/// decoding every dimension table once **per pending query** (it keeps no
+/// [`DimPageCache`]).
 pub(crate) fn admit_batch_serial(inner: &StageInner, ctx: &SimCtx, pending: Vec<Admission>) {
     inner.admission_batches.fetch_add(1, Ordering::Relaxed);
     // One pipeline pause per batch ("in one pause of the pipeline, the
@@ -601,5 +633,190 @@ pub(crate) fn admit_batch_serial(inner: &StageInner, ctx: &SimCtx, pending: Vec<
         }
         activate_query(inner, &adm, slot, dim_filters);
         inner.admitted.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stage::tests::{filter_snapshot, query, setup_on, setup_sized};
+    use crate::stage::{AdmissionSink, CjoinStage};
+    use crate::CjoinConfig;
+    use workshare_common::sync::Mutex;
+    use workshare_common::{CostModel, StarQuery};
+    use workshare_qpipe::exchange::{Exchange, ExchangeKind};
+    use workshare_storage::{IoMode, StorageConfig, StorageFaultPlan};
+
+    /// `queries` as one stage's pending batch, as a window would drain it.
+    fn pending(stage: &CjoinStage, queries: &[StarQuery]) -> Vec<Admission> {
+        queries
+            .iter()
+            .map(|q| Admission {
+                query: q.clone(),
+                bound: stage.bound_for(q),
+                sink: AdmissionSink::Stream(Exchange::new(
+                    ExchangeKind::Spl,
+                    &stage.inner.machine,
+                    stage.inner.cost,
+                    1,
+                )),
+                sig: q.cjoin_signature(),
+                fault: Arc::new(Mutex::new(None)),
+            })
+            .collect()
+    }
+
+    /// Prepare `queries` on `stage` and run every scan unit of the batch on
+    /// a pool with `cache`, returning the first scan error, if any.
+    fn scan_batch(
+        stage: &CjoinStage,
+        ctx: &SimCtx,
+        queries: &[StarQuery],
+        cache: &DimPageCache,
+    ) -> Result<(), StorageError> {
+        let prepared = prepare_batch(&stage.inner, ctx, pending(stage, queries));
+        let pages = AtomicU64::new(0);
+        for unit in &build_units(std::slice::from_ref(&prepared)) {
+            let pool = ScanPool {
+                cache,
+                pages: &pages,
+            };
+            run_scan_unit(ctx, &[&stage.inner], unit, pool, None, None, false)?;
+        }
+        Ok(())
+    }
+
+    /// Addresses of every row `cache` holds for `dim`.
+    fn cached_rows(cache: &DimPageCache, stage: &CjoinStage, dim: &str) -> Vec<usize> {
+        let t = stage.inner.storage.table(dim);
+        cache
+            .table(t, stage.inner.storage.page_count(t))
+            .iter()
+            .filter_map(|slot| slot.get())
+            .flat_map(|page| page.iter().map(|r| Arc::as_ptr(r) as usize).collect::<Vec<_>>())
+            .collect()
+    }
+
+    #[test]
+    fn warm_window_stages_cold_entries_without_decoding() {
+        let (m, sm) = setup_sized(3000, 7);
+        let dim_pages = (sm.page_count(sm.table("dima")) + sm.page_count(sm.table("dimb"))) as u64;
+        assert!(dim_pages > 2, "dima must span pages");
+        let mk = || CjoinStage::new(&m, &sm, "fact", CjoinConfig::default(), CostModel::default());
+        let (seed, cold, warm) = (mk(), mk(), mk());
+        let queries = vec![query(1, false), query(2, true), query(3, false)];
+        let (s2, c2, w2) = (seed.clone(), cold.clone(), warm.clone());
+        let (cold_ns, warm_ns, cold_cache, warm_cache) = m
+            .spawn("coord", move |ctx| {
+                let admission_ns = || ctx.machine().cpu_breakdown().get(CostKind::Admission);
+                // An earlier window on the warm pool filled its cache.
+                let warm_cache = DimPageCache::new();
+                scan_batch(&s2, ctx, &queries, &warm_cache).unwrap();
+                assert_eq!(warm_cache.decodes(), dim_pages);
+                let cold_cache = DimPageCache::new();
+                let before = admission_ns();
+                scan_batch(&c2, ctx, &queries, &cold_cache).unwrap();
+                let cold_ns = admission_ns() - before;
+                let before = admission_ns();
+                scan_batch(&w2, ctx, &queries, &warm_cache).unwrap();
+                let warm_ns = admission_ns() - before;
+                (cold_ns, warm_ns, cold_cache, warm_cache)
+            })
+            .join()
+            .unwrap();
+        // The warm window decoded nothing; the cold one every page once.
+        assert_eq!(warm_cache.decodes(), dim_pages, "warm window decoded a page");
+        assert_eq!(cold_cache.decodes(), dim_pages);
+        // Same filter entries (keys, rows, bits) and referencing sets.
+        assert_eq!(filter_snapshot(&cold), filter_snapshot(&warm));
+        // The warm entries are the cached rows themselves, not copies.
+        let mut cached = cached_rows(&warm_cache, &warm, "dima");
+        cached.extend(cached_rows(&warm_cache, &warm, "dimb"));
+        cached.sort_unstable();
+        let epoch = warm.inner.epoch.load();
+        let mut entries = 0;
+        for f in &epoch.filters {
+            for e in f.hash.values() {
+                entries += 1;
+                let addr = Arc::as_ptr(&e.row) as usize;
+                assert!(cached.binary_search(&addr).is_ok(), "entry row was copied");
+            }
+        }
+        assert!(entries > 0);
+        // Exactly the decode is saved: scan_tuple_ns per dimension row.
+        let saved = CostModel::default().scan_tuple_ns * (3000.0 + 7.0);
+        assert!(
+            ((cold_ns - warm_ns) - saved).abs() <= 1e-9 * cold_ns,
+            "cold {cold_ns} warm {warm_ns}: saved {} not {saved}",
+            cold_ns - warm_ns
+        );
+        for st in [seed, cold, warm] {
+            st.shutdown();
+        }
+    }
+
+    #[test]
+    fn failed_page_read_is_not_cached_and_the_next_window_retries_it() {
+        // Every ~3rd page read fails permanently (no retry): a scan stops
+        // at its first failed page, and the window fails.
+        let faults = StorageFaultPlan {
+            seed: 11,
+            permanent_stride: Some(3),
+            retry: false,
+            ..Default::default()
+        };
+        let (m, sm) = setup_on(
+            StorageConfig {
+                io_mode: IoMode::Memory,
+                faults,
+                ..Default::default()
+            },
+            3000,
+            7,
+        );
+        let dima = sm.table("dima");
+        let npages = sm.page_count(dima);
+        let stage = CjoinStage::new(&m, &sm, "fact", CjoinConfig::default(), CostModel::default());
+        let st = stage.clone();
+        let mut q = query(1, false);
+        q.dims.truncate(1);
+        q.group_by.truncate(1);
+        q.order_by.truncate(1);
+        let (failed, cache) = m
+            .spawn("coord", move |ctx| {
+                let cache = DimPageCache::new();
+                let slots = cache.table(dima, npages);
+                let cached = || slots.iter().map(|s| s.get().is_some()).collect::<Vec<_>>();
+                let mut failed = Vec::new();
+                for _window in 0..64 {
+                    let before = cached();
+                    let decodes = cache.decodes();
+                    let result = scan_batch(&st, ctx, std::slice::from_ref(&q), &cache);
+                    let after = cached();
+                    let newly = before.iter().zip(&after).filter(|(b, a)| !**b && **a).count();
+                    assert_eq!(cache.decodes() - decodes, newly as u64, "decodes = new fills");
+                    match result {
+                        Ok(()) => break,
+                        Err(StorageError::PageUnreadable { table, page, .. }) => {
+                            assert_eq!(table, dima.0);
+                            let page = page as usize;
+                            assert!(!after[page], "page {page} cached though its read failed");
+                            assert!(after[..page].iter().all(|c| *c), "pages before it stay cached");
+                            failed.push(page);
+                        }
+                        Err(e) => panic!("unexpected fault: {e}"),
+                    }
+                }
+                (failed, cache)
+            })
+            .join()
+            .unwrap();
+        assert!(!failed.is_empty(), "the schedule must fail some dima read");
+        // Each failed page was read again by a later window and cached;
+        // every page was decoded exactly once over all the windows.
+        let slots = cache.table(dima, npages);
+        assert!(slots.iter().all(|s| s.get().is_some()), "failed pages {failed:?}");
+        assert_eq!(cache.decodes(), npages as u64);
+        stage.shutdown();
     }
 }

@@ -12,8 +12,13 @@
 //! tables is physically scanned once per window; every stage receives its
 //! own staged [`crate::DimEntry`] inserts and activates its own batch.
 //!
-//! Accounting: physical page reads are attributed to the fabric
-//! ([`FabricStats::admission_dim_pages`]) — a page decoded once for several
+//! The fabric keeps one decoded-dimension-page cache ([`DimPageCache`])
+//! for all of its stages: a dimension page is read and decoded by the
+//! first window that scans it, and every later window reuses its rows.
+//!
+//! Accounting: scanned pages are attributed to the fabric
+//! ([`FabricStats::admission_dim_pages`], with its decodes in
+//! [`FabricStats::dim_page_decodes`]) — a page scanned once for several
 //! stages belongs to none of them — while each stage's logical counters
 //! (`admitted`, `admission_dim_rows`, per-dimension selectivity EWMAs) are
 //! maintained exactly as under a per-stage pool, so stage-level reports
@@ -35,8 +40,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::admission::{
     activate_batch, build_units, fail_batch, prepare_batch, run_scan_unit, PreparedBatch,
-    ScanUnit,
+    ScanPool, ScanUnit,
 };
+use crate::dimcache::DimPageCache;
 use crate::health::{AdmissionHealth, CjoinFaultPlan};
 use crate::stage::{Admission, CjoinStage, StageInner, ADMISSION_BATCH_WINDOW_NS};
 use crate::window::{ScanAttempt, ShardedSlot, WindowLedger};
@@ -144,11 +150,18 @@ pub struct FabricStats {
     /// Stage requests merged into windows (≥ `batches`; the surplus is
     /// requests that queued behind an in-flight window and shared it).
     pub merged_requests: u64,
-    /// Physical dimension pages read by fabric scans. Each page is counted
-    /// **once per window** no matter how many stages and pending queries
-    /// shared it; per-stage `admission_dim_pages` stays 0 under the fabric
-    /// (see [`crate::CjoinStats::admission_dim_pages`]).
+    /// Dimension pages scanned by fabric windows, decoded or served from
+    /// the fabric's cache. Each page is counted **once per window** no
+    /// matter how many stages and pending queries shared it; per-stage
+    /// `admission_dim_pages` stays 0 under the fabric (see
+    /// [`crate::CjoinStats::admission_dim_pages`]).
     pub admission_dim_pages: u64,
+    /// Dimension pages read and decoded into the fabric's cache: its
+    /// misses. Each distinct page counts once per fabric lifetime (a page
+    /// whose read failed is not cached and counts when a later window
+    /// decodes it), so this stays at the distinct dimension page count
+    /// however many windows scan the pages.
+    pub dim_page_decodes: u64,
 }
 
 struct FabricInner {
@@ -172,6 +185,8 @@ struct FabricInner {
     cross_stage_batches: AtomicU64,
     merged_requests: AtomicU64,
     admission_dim_pages: AtomicU64,
+    /// Decoded dimension pages, shared by every window and stage.
+    dim_cache: DimPageCache,
     /// The machine the workers run on, kept so the health monitor can
     /// spawn replacement workers ([`AdmissionFabric::respawn_worker`]).
     machine: Machine,
@@ -194,6 +209,15 @@ struct FabricInner {
 }
 
 impl FabricInner {
+    /// The pool every fabric scan runs on: the fabric's cache and page
+    /// counter.
+    fn scan_pool(&self) -> ScanPool<'_> {
+        ScanPool {
+            cache: &self.dim_cache,
+            pages: &self.admission_dim_pages,
+        }
+    }
+
     /// Whether this worker should wedge now (injected fault, fires once).
     fn wedge_due(&self) -> bool {
         let Some(n) = self.faults.wedge_after_windows else {
@@ -258,6 +282,7 @@ impl AdmissionFabric {
                 cross_stage_batches: AtomicU64::new(0),
                 merged_requests: AtomicU64::new(0),
                 admission_dim_pages: AtomicU64::new(0),
+                dim_cache: DimPageCache::new(),
                 machine: machine.clone(),
                 faults,
                 health,
@@ -294,6 +319,7 @@ impl AdmissionFabric {
             cross_stage_batches: self.inner.cross_stage_batches.load(Ordering::Relaxed),
             merged_requests: self.inner.merged_requests.load(Ordering::Relaxed),
             admission_dim_pages: self.inner.admission_dim_pages.load(Ordering::Relaxed),
+            dim_page_decodes: self.inner.dim_cache.decodes(),
         }
     }
 
@@ -484,7 +510,7 @@ fn process_window(
             ctx,
             &inners,
             &tasks[0].0,
-            Some(&fabric.admission_dim_pages),
+            fabric.scan_pool(),
             Some(tasks[0].1),
             None,
             true,
@@ -507,7 +533,7 @@ fn process_window(
                             ctx,
                             &inners,
                             &unit,
-                            Some(&fabric.admission_dim_pages),
+                            fabric.scan_pool(),
                             Some(range),
                             None,
                             true,
@@ -629,7 +655,7 @@ fn supervise_subscans(
                         ctx,
                         &inners,
                         &unit,
-                        Some(&fabric.admission_dim_pages),
+                        fabric.scan_pool(),
                         Some(range),
                         Some(&attempt),
                         inject,

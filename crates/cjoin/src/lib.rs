@@ -41,6 +41,7 @@
 //!   bitwise work.
 
 mod admission;
+pub mod dimcache;
 pub mod epoch;
 pub mod fabric;
 pub mod filter;

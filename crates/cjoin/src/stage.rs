@@ -11,7 +11,8 @@ use workshare_common::fxhash::FxHashMap;
 use workshare_common::value::Row;
 use workshare_common::{CostModel, OrderKey, Predicate, QueryBitmap, SelVec, StarQuery};
 
-use crate::admission::{admit_batch_serial, admit_batch_shared};
+use crate::admission::{admit_batch_serial, admit_batch_shared, ScanPool};
+use crate::dimcache::DimPageCache;
 use crate::epoch::{EpochCell, EpochReader};
 use crate::fabric::AdmissionFabric;
 use crate::filter::{
@@ -164,15 +165,24 @@ pub struct CjoinStats {
     /// far fewer physical reads (see
     /// [`admission_dim_pages`](CjoinStats::admission_dim_pages)).
     pub admission_dim_rows: u64,
-    /// Physical dimension pages read by **this stage's own** admission
-    /// scans. Under shared-scan admission each distinct dimension table is
-    /// scanned **once per admission batch** regardless of how many pending
-    /// queries reference it; the serial oracle path re-reads it once per
-    /// query. Under an engine-level [`AdmissionFabric`] this stays 0: a
-    /// page read once *for several stages* is attributed to the fabric
+    /// Dimension pages scanned by **this stage's own** admission scans,
+    /// whether decoded or served from the stage's cache. Under shared-scan
+    /// admission each distinct dimension table is scanned **once per
+    /// admission batch** regardless of how many pending queries reference
+    /// it; the serial oracle path re-reads it once per query. Under an
+    /// engine-level [`AdmissionFabric`] this stays 0: a page scanned once
+    /// *for several stages* is attributed to the fabric
     /// ([`crate::FabricStats::admission_dim_pages`]), never double-counted
     /// per stage.
     pub admission_dim_pages: u64,
+    /// Dimension pages read and decoded into the stage's own pool cache
+    /// ([`crate::dimcache`]): its misses. Each distinct page counts once
+    /// per stage lifetime, so later batches over the same dimensions add
+    /// nothing. 0 under an engine-level [`AdmissionFabric`] (its decodes
+    /// are [`crate::FabricStats::dim_page_decodes`]) and on the serial
+    /// oracle path, which keeps no cache — its reads are all in
+    /// [`admission_dim_pages`](CjoinStats::admission_dim_pages).
+    pub admission_dim_decodes: u64,
 }
 
 impl CjoinStats {
@@ -186,6 +196,7 @@ impl CjoinStats {
         self.sp_shares += other.sp_shares;
         self.admission_dim_rows += other.admission_dim_rows;
         self.admission_dim_pages += other.admission_dim_pages;
+        self.admission_dim_decodes += other.admission_dim_decodes;
     }
 }
 
@@ -496,6 +507,10 @@ pub(crate) struct StageInner {
     sp_shares: AtomicU64,
     pub(crate) admission_dim_rows: AtomicU64,
     pub(crate) admission_dim_pages: AtomicU64,
+    /// Decoded dimension pages of the stage's own admission pool (the
+    /// per-stage workers, and the ladder's pool rung). Unused under the
+    /// fabric, which has its own, and on the serial path.
+    dim_cache: DimPageCache,
     /// Governor signals, EWMA-smoothed per observation (admission scan /
     /// filtered batch) so they track workload shifts. The admission
     /// selectivity is kept **per dimension table** so the governor can see
@@ -583,6 +598,15 @@ impl StageInner {
             rows,
             members: batch.members,
             page,
+        }
+    }
+
+    /// The stage's own admission pool: its decoded-page cache and page
+    /// counter.
+    pub(crate) fn own_pool(&self) -> ScanPool<'_> {
+        ScanPool {
+            cache: &self.dim_cache,
+            pages: &self.admission_dim_pages,
         }
     }
 
@@ -714,6 +738,7 @@ impl CjoinStage {
             sp_shares: AtomicU64::new(0),
             admission_dim_rows: AtomicU64::new(0),
             admission_dim_pages: AtomicU64::new(0),
+            dim_cache: DimPageCache::new(),
             dim_sel_ewma: Mutex::new(FxHashMap::default()),
             key_run_ewma: Mutex::new(None),
         });
@@ -738,7 +763,7 @@ impl CjoinStage {
         stage
     }
 
-    fn bound_for(&self, q: &StarQuery) -> Arc<BoundQuery> {
+    pub(crate) fn bound_for(&self, q: &StarQuery) -> Arc<BoundQuery> {
         let inner = &self.inner;
         let fact_schema = inner.storage.schema(inner.fact);
         let dim_schemas: Vec<_> = q
@@ -755,55 +780,35 @@ impl CjoinStage {
     /// tuples. With SP enabled, a query identical to an in-flight CJOIN
     /// packet attaches to the host's output (step WoP) and skips admission.
     pub fn submit(&self, q: &StarQuery) -> CjoinOutput {
-        let inner = &self.inner;
-        assert_eq!(
-            inner.storage.table(&q.fact),
-            inner.fact,
-            "CJOIN stage is bound to one fact table"
-        );
-        let sig = q.cjoin_signature();
-        if inner.config.sp {
-            let registry = inner.sp_registry.lock();
-            if let Some((_, HostRef::Stream(ex, host_fault))) = registry.get(&sig) {
-                if ex.emitted() == 0 && !ex.is_closed() {
-                    let reader = ex.attach(None);
-                    inner.sp_shares.fetch_add(1, Ordering::Relaxed);
+        self.submit_with(
+            q,
+            |_, host| match host {
+                HostRef::Stream(ex, host_fault) if ex.emitted() == 0 && !ex.is_closed() => {
                     // The satellite shares the host's fault cell: if the
                     // host's admission fails, every attached reader sees
                     // the same typed error.
-                    return CjoinOutput {
-                        reader,
+                    Some(CjoinOutput {
+                        reader: ex.attach(None),
                         fault: Arc::clone(host_fault),
-                    };
+                    })
                 }
-            }
-        }
-        let bound = self.bound_for(q);
-        let out = Exchange::new(
-            inner.config.exchange,
-            &inner.machine,
-            inner.cost,
-            inner.config.cap_pages,
-        );
-        let reader = out.attach(None);
-        let fault: FaultCell = Arc::new(Mutex::new(None));
-        if inner.config.sp {
-            // Register the host at submit time so that identical queries in
-            // the same submission batch can attach before admission runs.
-            inner.sp_registry.lock().insert(
-                sig,
-                (q.id, HostRef::Stream(out.clone(), Arc::clone(&fault))),
-            );
-        }
-        inner.pending.push(Admission {
-            query: q.clone(),
-            bound,
-            sink: AdmissionSink::Stream(out),
-            sig,
-            fault: Arc::clone(&fault),
-        });
-        inner.wake.notify_all();
-        CjoinOutput { reader, fault }
+                _ => None,
+            },
+            |inner| {
+                let out = Exchange::new(
+                    inner.config.exchange,
+                    &inner.machine,
+                    inner.cost,
+                    inner.config.cap_pages,
+                );
+                let fault: FaultCell = Arc::new(Mutex::new(None));
+                let handle = CjoinOutput {
+                    reader: out.attach(None),
+                    fault: Arc::clone(&fault),
+                };
+                (handle, AdmissionSink::Stream(out), fault)
+            },
+        )
     }
 
     /// Submit a star query with **shared aggregation**: the distributor
@@ -812,22 +817,14 @@ impl CjoinStage {
     /// in-flight query shares the host's buffered result (full step WoP:
     /// reuse is possible at any time during the host's evaluation, §3.1).
     pub fn submit_aggregated(&self, q: &StarQuery) -> Arc<AggResult> {
-        let inner = &self.inner;
-        assert_eq!(
-            inner.storage.table(&q.fact),
-            inner.fact,
-            "CJOIN stage is bound to one fact table"
-        );
-        let sig = q.cjoin_signature();
-        if inner.config.sp {
-            let registry = inner.sp_registry.lock();
-            if let Some((_, HostRef::Agg(host))) = registry.get(&sig) {
-                if !host.is_done() {
+        self.submit_with(
+            q,
+            |inner, host| match host {
+                HostRef::Agg(host) if !host.is_done() => {
                     let host = Arc::clone(host);
                     let satellite = AggResult::new(&inner.machine);
                     let sat2 = Arc::clone(&satellite);
                     let cost = inner.cost;
-                    inner.sp_shares.fetch_add(1, Ordering::Relaxed);
                     inner.machine.spawn(&format!("cj-agg-sat-q{}", q.id), move |ctx| {
                         let rows = host.wait();
                         ctx.charge(CostKind::Copy, cost.copy_cost(rows.len() * 64));
@@ -838,27 +835,63 @@ impl CjoinStage {
                             None => sat2.complete(rows),
                         }
                     });
-                    return satellite;
+                    Some(satellite)
                 }
+                _ => None,
+            },
+            |inner| {
+                let result = AggResult::new(&inner.machine);
+                let sink = AdmissionSink::Agg(Arc::clone(&result));
+                (result, sink, Arc::new(Mutex::new(None)))
+            },
+        )
+    }
+
+    /// The submission path both sinks share. With SP on, `attach` is
+    /// offered the live host registered under `q`'s CJOIN signature; a
+    /// `Some` handle is an SP share and skips admission. Otherwise `host`
+    /// builds the query's handle, sink and fault cell; the query becomes
+    /// the signature's host (registered at submit time, so identical
+    /// queries of the same submission batch can attach before admission
+    /// runs) and joins the pending set.
+    fn submit_with<H>(
+        &self,
+        q: &StarQuery,
+        attach: impl FnOnce(&StageInner, &HostRef) -> Option<H>,
+        host: impl FnOnce(&StageInner) -> (H, AdmissionSink, FaultCell),
+    ) -> H {
+        let inner = &self.inner;
+        assert_eq!(
+            inner.storage.table(&q.fact),
+            inner.fact,
+            "CJOIN stage is bound to one fact table"
+        );
+        let sig = q.cjoin_signature();
+        if inner.config.sp {
+            let registry = inner.sp_registry.lock();
+            if let Some(handle) = registry.get(&sig).and_then(|(_, h)| attach(inner, h)) {
+                inner.sp_shares.fetch_add(1, Ordering::Relaxed);
+                return handle;
             }
         }
         let bound = self.bound_for(q);
-        let result = AggResult::new(&inner.machine);
+        let (handle, sink, fault) = host(inner);
         if inner.config.sp {
-            inner
-                .sp_registry
-                .lock()
-                .insert(sig, (q.id, HostRef::Agg(Arc::clone(&result))));
+            let host_ref = match &sink {
+                AdmissionSink::Stream(out) => HostRef::Stream(out.clone(), Arc::clone(&fault)),
+                AdmissionSink::Agg(result) => HostRef::Agg(Arc::clone(result)),
+            };
+            inner.sp_registry.lock().insert(sig, (q.id, host_ref));
         }
         inner.pending.push(Admission {
             query: q.clone(),
             bound,
-            sink: AdmissionSink::Agg(Arc::clone(&result)),
+            sink,
             sig,
-            fault: Arc::new(Mutex::new(None)),
+            fault,
         });
         inner.wake.notify_all();
-        result
+        handle
     }
 
     /// Whether two handles refer to the same stage instance (used by the
@@ -875,6 +908,7 @@ impl CjoinStage {
             sp_shares: self.inner.sp_shares.load(Ordering::Relaxed),
             admission_dim_rows: self.inner.admission_dim_rows.load(Ordering::Relaxed),
             admission_dim_pages: self.inner.admission_dim_pages.load(Ordering::Relaxed),
+            admission_dim_decodes: self.inner.dim_cache.decodes(),
         }
     }
 
@@ -1409,7 +1443,7 @@ fn finalize_query(inner: &StageInner, ctx: &SimCtx, qrt: &QueryRuntime) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use workshare_common::codec::PageBuilder;
     use workshare_common::{
@@ -1418,18 +1452,29 @@ mod tests {
     use workshare_sim::MachineConfig;
     use workshare_storage::{IoMode, StorageConfig};
 
-    fn setup_sized(dima_rows: i64, dimb_rows: i64) -> (Machine, StorageManager) {
-        let m = Machine::new(MachineConfig {
-            cores: 8,
-            ..Default::default()
-        });
-        let sm = StorageManager::new(
+    pub(crate) fn setup_sized(dima_rows: i64, dimb_rows: i64) -> (Machine, StorageManager) {
+        setup_on(
             StorageConfig {
                 io_mode: IoMode::Memory,
                 ..Default::default()
             },
-            CostModel::default(),
-        );
+            dima_rows,
+            dimb_rows,
+        )
+    }
+
+    /// The fixture's fact table (3000 rows) and its two dimensions on a
+    /// storage manager built with `config`.
+    pub(crate) fn setup_on(
+        config: StorageConfig,
+        dima_rows: i64,
+        dimb_rows: i64,
+    ) -> (Machine, StorageManager) {
+        let m = Machine::new(MachineConfig {
+            cores: 8,
+            ..Default::default()
+        });
+        let sm = StorageManager::new(config, CostModel::default());
         let fs = Schema::new(vec![
             Column::new("fk_a", ColType::Int),
             Column::new("fk_b", ColType::Int),
@@ -1464,7 +1509,7 @@ mod tests {
         setup_sized(10, 7)
     }
 
-    fn query(id: u64, a_even_only: bool) -> StarQuery {
+    pub(crate) fn query(id: u64, a_even_only: bool) -> StarQuery {
         StarQuery {
             id,
             fact: "fact".into(),
@@ -1538,9 +1583,22 @@ mod tests {
     /// the stage's runtime signals (the selectivity EWMA the oracle test
     /// compares across admission paths).
     fn run_queries_on(
-        (m, sm): (Machine, StorageManager),
+        setup: (Machine, StorageManager),
         config: CjoinConfig,
         queries: Vec<StarQuery>,
+        interarrival_ns: f64,
+    ) -> (Vec<Vec<Row>>, CjoinStats, CjoinRuntimeStats) {
+        run_batches_on(setup, config, vec![queries], interarrival_ns)
+    }
+
+    /// [`run_queries_on`] over several batches in sequence on one stage:
+    /// each batch is submitted only after the previous one has completed,
+    /// so its admission scans run on what the earlier batches left in the
+    /// stage's cache. Rows come back in submission order.
+    fn run_batches_on(
+        (m, sm): (Machine, StorageManager),
+        config: CjoinConfig,
+        batches: Vec<Vec<StarQuery>>,
         interarrival_ns: f64,
     ) -> (Vec<Vec<Row>>, CjoinStats, CjoinRuntimeStats) {
         let stage = CjoinStage::new(&m, &sm, "fact", config, CostModel::default());
@@ -1548,44 +1606,49 @@ mod tests {
         let out = m
             .spawn("coord", move |ctx| {
                 let fact_schema = st.inner.storage.schema(st.inner.fact);
-                let mut jobs = Vec::new();
-                for (qi, q) in queries.iter().enumerate() {
-                    if qi > 0 && interarrival_ns > 0.0 {
-                        ctx.sleep(interarrival_ns);
-                    }
-                    let dim_schemas: Vec<_> = q
-                        .dims
-                        .iter()
-                        .map(|d| {
-                            st.inner
-                                .storage
-                                .schema(st.inner.storage.table(&d.dim))
-                        })
-                        .collect();
-                    let dim_refs: Vec<&Schema> =
-                        dim_schemas.iter().map(|s| s.as_ref()).collect();
-                    let bound = bind(&fact_schema, &dim_refs, q);
-                    let mut outp = st.submit(q);
-                    let order = q.order_by.clone();
-                    let cost = st.inner.cost;
-                    jobs.push(ctx.machine().spawn(
-                        &format!("agg-q{}", q.id),
-                        move |ctx| {
-                            let mut agg = workshare_common::agg::Aggregator::new(&bound);
-                            while let Some(b) = outp.reader.next(ctx) {
-                                ctx.charge(
-                                    CostKind::Aggregation,
-                                    cost.agg_update_tuple_ns * b.len() as f64,
-                                );
-                                for row in &b.rows {
-                                    agg.update(row);
+                let mut rows = Vec::new();
+                for queries in batches {
+                    let mut jobs = Vec::new();
+                    for (qi, q) in queries.iter().enumerate() {
+                        if qi > 0 && interarrival_ns > 0.0 {
+                            ctx.sleep(interarrival_ns);
+                        }
+                        let dim_schemas: Vec<_> = q
+                            .dims
+                            .iter()
+                            .map(|d| {
+                                st.inner
+                                    .storage
+                                    .schema(st.inner.storage.table(&d.dim))
+                            })
+                            .collect();
+                        let dim_refs: Vec<&Schema> =
+                            dim_schemas.iter().map(|s| s.as_ref()).collect();
+                        let bound = bind(&fact_schema, &dim_refs, q);
+                        let mut outp = st.submit(q);
+                        let order = q.order_by.clone();
+                        let cost = st.inner.cost;
+                        jobs.push(ctx.machine().spawn(
+                            &format!("agg-q{}", q.id),
+                            move |ctx| {
+                                let mut agg =
+                                    workshare_common::agg::Aggregator::new(&bound);
+                                while let Some(b) = outp.reader.next(ctx) {
+                                    ctx.charge(
+                                        CostKind::Aggregation,
+                                        cost.agg_update_tuple_ns * b.len() as f64,
+                                    );
+                                    for row in &b.rows {
+                                        agg.update(row);
+                                    }
                                 }
-                            }
-                            agg.finish(&order)
-                        },
-                    ));
+                                agg.finish(&order)
+                            },
+                        ));
+                    }
+                    rows.extend(jobs.into_iter().map(|j| j.join().unwrap()));
                 }
-                jobs.into_iter().map(|j| j.join().unwrap()).collect::<Vec<_>>()
+                rows
             })
             .join()
             .unwrap();
@@ -1767,7 +1830,7 @@ mod tests {
     /// Canonical view of a stage's shared-filter state: per filter, the
     /// referencing slots plus every entry's key, row, and selecting slots.
     #[allow(clippy::type_complexity)]
-    fn filter_snapshot(
+    pub(crate) fn filter_snapshot(
         stage: &CjoinStage,
     ) -> Vec<(Vec<usize>, std::collections::BTreeMap<i64, (Row, Vec<usize>)>)> {
         let e = stage.inner.epoch.load();
@@ -1813,7 +1876,7 @@ mod tests {
         let shared = mk_stage(false);
         let serial = mk_stage(true);
         let queries =
-            vec![query(1, false), query(2, true), query(3, false), query(4, true)];
+            [query(1, false), query(2, true), query(3, false), query(4, true)];
         let sh = shared.clone();
         let se = serial.clone();
         let snaps = m
@@ -1851,6 +1914,9 @@ mod tests {
         // the serial oracle path.
         assert_eq!(sh_stats.admission_dim_pages, dima_pages + dimb_pages);
         assert_eq!(se_stats.admission_dim_pages, 4 * (dima_pages + dimb_pages));
+        // A cold stage decodes each page it scans once, into its cache.
+        assert_eq!(sh_stats.admission_dim_decodes, dima_pages + dimb_pages);
+        assert_eq!(se_stats.admission_dim_decodes, 0);
         // The logical per-query scan volume is identical either way.
         assert_eq!(sh_stats.admission_dim_rows, 4 * (3000 + 7));
         assert_eq!(se_stats.admission_dim_rows, sh_stats.admission_dim_rows);
@@ -1910,13 +1976,32 @@ mod tests {
                 specs in proptest::collection::vec((0u8..3, 0u8..3, 0u8..3), 1..6),
                 paged_dims in proptest::bool::ANY,
                 stagger in proptest::bool::ANY,
+                two_batches in proptest::bool::ANY,
             ) {
-                let queries: Vec<StarQuery> = specs
+                let mut queries: Vec<StarQuery> = specs
                     .iter()
                     .enumerate()
                     .map(|(i, &(pa, pb, subset))| build_query(i as u64, pa, pb, subset))
                     .collect();
                 let dima_rows = if paged_dims { 3000 } else { 10 };
+                // Every page of each dimension some query joins: what the
+                // shared stage's cache must decode, once, however many
+                // batches scan it.
+                let (_, sm) = setup_sized(dima_rows, 7);
+                let distinct_pages: u64 = ["dima", "dimb"]
+                    .iter()
+                    .filter(|d| queries.iter().any(|q| q.dims.iter().any(|j| j.dim == **d)))
+                    .map(|d| sm.page_count(sm.table(d)) as u64)
+                    .sum();
+                // Two batches in sequence on one stage: the second is
+                // submitted after the first completed, so its admission
+                // scans run on the stage's warm cache.
+                let batches = if two_batches && queries.len() > 1 {
+                    let rest = queries.split_off(queries.len() / 2);
+                    vec![queries, rest]
+                } else {
+                    vec![queries]
+                };
                 // Staggered arrivals split the pending set into several
                 // admission batches; the oracle must hold regardless. The
                 // staggered runs also use several admission workers, so
@@ -1931,19 +2016,23 @@ mod tests {
                     serial_admission: true,
                     ..Default::default()
                 };
-                let (sh_rows, mut sh_stats, sh_rt) = run_queries_on(
+                let (sh_rows, mut sh_stats, sh_rt) = run_batches_on(
                     setup_sized(dima_rows, 7),
                     shared_cfg,
-                    queries.clone(),
+                    batches.clone(),
                     interarrival,
                 );
-                let (se_rows, mut se_stats, se_rt) = run_queries_on(
+                let (se_rows, mut se_stats, se_rt) = run_batches_on(
                     setup_sized(dima_rows, 7),
                     serial_cfg,
-                    queries,
+                    batches,
                     interarrival,
                 );
                 prop_assert_eq!(sh_rows, se_rows, "joined rows diverged");
+                // The shared stage decoded each page once, whatever the
+                // batching; the serial oracle keeps no cache.
+                prop_assert_eq!(sh_stats.admission_dim_decodes, distinct_pages);
+                prop_assert_eq!(se_stats.admission_dim_decodes, 0);
                 // Physical admission reads and batch counts legitimately
                 // differ (that is the optimization); every logical counter
                 // must match exactly.
@@ -1951,6 +2040,8 @@ mod tests {
                 se_stats.admission_batches = 0;
                 sh_stats.admission_dim_pages = 0;
                 se_stats.admission_dim_pages = 0;
+                sh_stats.admission_dim_decodes = 0;
+                se_stats.admission_dim_decodes = 0;
                 prop_assert_eq!(sh_stats, se_stats, "stats diverged");
                 // The selectivity EWMA folds the same per-(page, query)
                 // sample multiset in a different order, and an EWMA with

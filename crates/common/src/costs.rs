@@ -21,7 +21,9 @@
 pub struct CostModel {
     /// Fixed cost to fetch+pin one page from the buffer pool.
     pub scan_page_fixed_ns: f64,
-    /// Per-tuple decode cost during scans.
+    /// Per-tuple decode cost during scans. A CJOIN admission scan pays it
+    /// once per dimension page per admission pool: later scans reuse the
+    /// pool's decoded rows ([`CostModel::admission_batch_cost`]).
     pub scan_tuple_ns: f64,
     /// Hash-table insert during a join build, per tuple (`hash()` part).
     pub hash_build_tuple_ns: f64,
@@ -145,26 +147,39 @@ impl CostModel {
             + self.select_term_vec_ns * terms.max(1) as f64 * n as f64
     }
 
-    /// Cost of one **shared** admission-scan page: the page is decoded
-    /// (`scan_tuple_ns`) and its rows hashed/bit-extended
-    /// (`admission_tuple_ns`) once per physical row for the whole pending
-    /// batch — under the cross-stage admission fabric, once for *every
-    /// stage* in the batching window — while each of the `pending` queries
-    /// pays only its own predicate evaluation at the batch rate
-    /// (`total_terms` = Σ per-query `max(term_count, 1)`).
+    /// Cost of one **shared** admission-scan page of `rows` rows, of which
+    /// `decoded_rows` were decoded on this call (`scan_tuple_ns`): the
+    /// rows are hashed/bit-extended (`admission_tuple_ns`) once per
+    /// physical row for the whole pending batch — under the cross-stage
+    /// admission fabric, once for *every stage* in the batching window —
+    /// while each of the `pending` queries pays only its own predicate
+    /// evaluation at the batch rate (`total_terms` = Σ per-query
+    /// `max(term_count, 1)`).
+    ///
+    /// The decode is paid once per page per admission pool: a pool keeps
+    /// the rows it decoded (`workshare_cjoin::dimcache`), so a later scan
+    /// of the same page passes `decoded_rows = 0` and pays only the
+    /// per-row admission and predicate terms.
     ///
     /// This replaces the serial path's per-query full-scan charges
     /// (`(scan_tuple_ns + admission_tuple_ns) × rows` *per query*: the
     /// serial oracle really re-reads and re-decodes the pages per query) —
     /// the de-serialization that makes admission cost grow with *distinct
     /// dimension pages + pending queries* instead of *pages × queries*.
-    /// The per-row physical rate matches the
+    /// The per-row physical rate of a cold scan matches the
     /// [`shared_latency_ns`](CostModel::shared_latency_ns) /
     /// [`shared_marginal_query_ns`](CostModel::shared_marginal_query_ns)
     /// estimators' `(scan_tuple_ns + admission_tuple_ns)` admission term,
     /// so the governor's calibration starts near 1.
-    pub fn admission_batch_cost(&self, rows: usize, pending: usize, total_terms: usize) -> f64 {
-        (self.scan_tuple_ns + self.admission_tuple_ns) * rows as f64
+    pub fn admission_batch_cost(
+        &self,
+        rows: usize,
+        decoded_rows: usize,
+        pending: usize,
+        total_terms: usize,
+    ) -> f64 {
+        self.scan_tuple_ns * decoded_rows as f64
+            + self.admission_tuple_ns * rows as f64
             + pending.max(1) as f64 * self.select_batch_fixed_ns
             + self.select_term_vec_ns * total_terms.max(pending.max(1)) as f64 * rows as f64
     }
@@ -598,20 +613,23 @@ mod tests {
         // batch rate).
         let serial_one = (c.scan_tuple_ns + c.admission_tuple_ns) * 1000.0
             + c.select_batch_cost(2, 1000);
-        assert_eq!(c.admission_batch_cost(1000, 1, 2), serial_one);
+        assert_eq!(c.admission_batch_cost(1000, 1000, 1, 2), serial_one);
         // 32 queries sharing the scan: the physical per-row work is paid
         // once, so the batch is far cheaper than 32 serial scans…
         let serial_32 = 32.0 * serial_one;
-        let shared_32 = c.admission_batch_cost(1000, 32, 64);
+        let shared_32 = c.admission_batch_cost(1000, 1000, 32, 64);
         assert!(
             shared_32 * 2.0 < serial_32,
             "shared {shared_32} vs serial {serial_32}"
         );
         // …while still growing with pending queries and predicate width.
-        assert!(shared_32 > c.admission_batch_cost(1000, 1, 2));
-        assert!(c.admission_batch_cost(1000, 32, 128) > shared_32);
+        assert!(shared_32 > c.admission_batch_cost(1000, 1000, 1, 2));
+        assert!(c.admission_batch_cost(1000, 1000, 32, 128) > shared_32);
+        // A page already decoded by the pool skips exactly the decode.
+        let warm_32 = c.admission_batch_cost(1000, 0, 32, 64);
+        assert!((shared_32 - warm_32 - c.scan_tuple_ns * 1000.0).abs() < 1e-6);
         // Degenerate inputs stay sane (zero-term predicates charge one).
-        assert!(c.admission_batch_cost(0, 0, 0) > 0.0);
+        assert!(c.admission_batch_cost(0, 0, 0, 0) > 0.0);
     }
 
     #[test]

@@ -151,9 +151,12 @@ impl Predicate {
     /// still-selected rows, and `And` narrows the selection term by term
     /// (rows deselected by an earlier conjunct are never touched again —
     /// word-level skipping makes low-selectivity conjunctions cheap).
-    pub fn eval_batch_into(&self, rows: &[Row], sel: &mut SelVec) {
+    ///
+    /// Rows may be owned or shared (`Arc<Row>`, as in a decoded page the
+    /// CJOIN admission pool keeps).
+    pub fn eval_batch_into<R: AsRef<Row>>(&self, rows: &[R], sel: &mut SelVec) {
         sel.reset(rows.len(), true);
-        self.restrict(&|i| &rows[i], sel);
+        self.restrict(&|i| rows[i].as_ref(), sel);
     }
 
     /// Evaluate **many predicates** over one batch in a single pass,
@@ -171,9 +174,9 @@ impl Predicate {
     /// predicate arithmetic itself. `hit_counts` is filled with each
     /// predicate's selected-row count (the admission selectivity signal,
     /// free here vs re-scanning the bank column per query).
-    pub fn eval_batch_multi(
+    pub fn eval_batch_multi<R: AsRef<Row>>(
         preds: &[&Predicate],
-        rows: &[Row],
+        rows: &[R],
         bank: &mut BitmapBank,
         scratch: &mut SelVec,
         hit_counts: &mut Vec<usize>,

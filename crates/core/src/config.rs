@@ -116,18 +116,6 @@ pub struct ServiceConfig {
     /// so heavy tenants cannot starve light ones, and zero-weight tenants
     /// are locked out.
     pub tenant_weights: [f64; MAX_TENANTS],
-    /// Deprecated alias for
-    /// [`FaultPlan::worker_panic_stride`](FaultPlan::worker_panic_stride):
-    /// panic inside the producer vthread of every query whose id is a
-    /// multiple of the stride, *after* admission (the completion guard and
-    /// permit drop must turn the panic into an error outcome that still
-    /// balances
-    /// [`ThroughputReport::is_conserved`](crate::ThroughputReport::is_conserved)).
-    /// `None` (the default) injects nothing. Kept so existing tests pass
-    /// unchanged; new code should set the stride on
-    /// [`RunConfig::faults`](RunConfig::faults) instead.
-    #[doc(hidden)]
-    pub fault_panic_stride: Option<u64>,
 }
 
 impl Default for ServiceConfig {
@@ -137,7 +125,6 @@ impl Default for ServiceConfig {
             deadline_secs: None,
             slo_p99_secs: None,
             tenant_weights: [0.0; MAX_TENANTS],
-            fault_panic_stride: None,
         }
     }
 }
@@ -224,8 +211,10 @@ pub struct FaultPlan {
     /// carcass through the lease registry's retired ledger and rebuilds.
     pub stage_build_stride: Option<u64>,
     /// Panic inside the producer vthread of every query whose id is a
-    /// multiple of the stride (the PR 7 knob, folded in; the
-    /// `ServiceConfig::fault_panic_stride` alias still works).
+    /// multiple of the stride, *after* admission: the completion guard and
+    /// permit drop must turn the panic into an error outcome that still
+    /// balances
+    /// [`ThroughputReport::is_conserved`](crate::ThroughputReport::is_conserved).
     pub worker_panic_stride: Option<u64>,
     /// Whether the recovery machinery runs (retry/backoff, re-dispatch,
     /// health monitor, ladder). `false` = no-recovery baseline: the first
@@ -490,12 +479,6 @@ impl RunConfig {
             ..Default::default()
         }
     }
-
-    /// Effective mid-execution worker-panic stride: the fault plan's site,
-    /// with the deprecated `ServiceConfig::fault_panic_stride` alias.
-    pub fn worker_panic_stride(&self) -> Option<u64> {
-        self.faults.worker_panic_stride.or(self.service.fault_panic_stride)
-    }
 }
 
 #[cfg(test)]
@@ -595,7 +578,7 @@ mod tests {
         assert!(!rc.faults.heals(), "no machinery without armed sites");
         assert!(!rc.storage_config().faults.is_armed());
         assert!(!rc.cjoin_config().faults.is_armed());
-        assert_eq!(rc.worker_panic_stride(), None);
+        assert_eq!(rc.faults.worker_panic_stride, None);
     }
 
     #[test]
@@ -623,15 +606,6 @@ mod tests {
         rc.faults.self_heal = false;
         assert!(!rc.storage_config().faults.retry);
         assert!(!rc.faults.heals());
-    }
-
-    #[test]
-    fn worker_panic_stride_folds_legacy_alias() {
-        let mut rc = RunConfig::default();
-        rc.service.fault_panic_stride = Some(3);
-        assert_eq!(rc.worker_panic_stride(), Some(3), "deprecated alias");
-        rc.faults.worker_panic_stride = Some(5);
-        assert_eq!(rc.worker_panic_stride(), Some(5), "plan wins over alias");
     }
 
     #[test]

@@ -452,10 +452,11 @@ impl StageRegistry {
     }
 
     /// Aggregate CJOIN counters over every stage ever built (live +
-    /// retired), plus the physical pages the cross-stage fabric read on
-    /// their behalf (each counted once per batching window, attributed to
-    /// the fabric — per-stage counters stay 0 under it), so the aggregate
-    /// keeps covering every physical admission read of the engine.
+    /// retired), plus the pages the cross-stage fabric scanned and decoded
+    /// on their behalf (scans counted once per batching window, decodes
+    /// once per page, both attributed to the fabric — per-stage counters
+    /// stay 0 under it), so the aggregate keeps covering every admission
+    /// scan and decode of the engine.
     fn total_stats(&self) -> CjoinStats {
         let mut total = CjoinStats::default();
         self.leases
@@ -463,7 +464,9 @@ impl StageRegistry {
         self.leases
             .for_each_retired(|_, cell| total.absorb(&cell.stats));
         if let Some(fabric) = &self.services.fabric {
-            total.admission_dim_pages += fabric.stats().admission_dim_pages;
+            let fs = fabric.stats();
+            total.admission_dim_pages += fs.admission_dim_pages;
+            total.admission_dim_decodes += fs.dim_page_decodes;
         }
         total
     }
@@ -570,13 +573,11 @@ struct EngineInner {
     gate_ws: WaitSet,
     gate_open: Arc<AtomicBool>,
     /// Worker-panic fault site
-    /// ([`crate::config::FaultPlan::worker_panic_stride`], with the
-    /// deprecated [`ServiceConfig::fault_panic_stride`] alias folded in via
-    /// [`RunConfig::worker_panic_stride`]): panic inside the producer
-    /// vthread of every query whose id is a multiple of the stride, after
-    /// admission. Exercises the unwind path end to end — the completion
-    /// guard poisons the slot, the permit and lease drops release their
-    /// claims, and the run report still balances.
+    /// ([`crate::config::FaultPlan::worker_panic_stride`]): panic inside
+    /// the producer vthread of every query whose id is a multiple of the
+    /// stride, after admission. Exercises the unwind path end to end — the
+    /// completion guard poisons the slot, the permit and lease drops
+    /// release their claims, and the run report still balances.
     fault_panic_stride: Option<u64>,
 }
 
@@ -731,7 +732,7 @@ impl Engine {
                 kind,
                 gate_ws: WaitSet::new(machine),
                 gate_open: Arc::new(AtomicBool::new(true)),
-                fault_panic_stride: config.worker_panic_stride(),
+                fault_panic_stride: config.faults.worker_panic_stride,
             }),
         }
     }

@@ -37,13 +37,13 @@ pub struct RunReport {
     /// QPipe sharing statistics (if the engine was a QPipe variant).
     pub qpipe_sharing: Option<workshare_qpipe::SharingStats>,
     /// CJOIN statistics (if the engine was a CJOIN variant; aggregate over
-    /// all sharded stages — plus the cross-stage fabric's physical reads —
-    /// when governed).
+    /// all sharded stages — plus the cross-stage fabric's page scans and
+    /// decodes — when governed).
     pub cjoin: Option<workshare_cjoin::CjoinStats>,
     /// Cross-stage admission-fabric counters (governed engines with
     /// [`RunConfig::admission_fabric`] on): batching windows, cross-stage
-    /// merges, and the physical dimension pages read once per window on
-    /// behalf of every stage.
+    /// merges, the dimension pages scanned once per window on behalf of
+    /// every stage, and the pages decoded into the fabric's cache.
     pub fabric: Option<workshare_cjoin::FabricStats>,
     /// Per-fact-table stage rows of a governed run's shared side: which
     /// sharded CJOIN stage served how many shared star queries, labeled
@@ -276,7 +276,8 @@ pub struct ThroughputReport {
     pub governor: Option<crate::governor::GovernorStats>,
     /// Per-fact-table stage rows of a governed run's shared side.
     pub stages: Vec<crate::engine::StageRow>,
-    /// Cross-stage admission-fabric counters, when the engine ran one.
+    /// Cross-stage admission-fabric counters, when the engine ran one
+    /// (windows, pages scanned, pages decoded into its cache).
     pub fabric: Option<workshare_cjoin::FabricStats>,
     /// Fault-injection and self-healing accounting (all-zero with the
     /// default, fully-off [`crate::config::FaultPlan`]).

@@ -34,6 +34,10 @@
 //! 9. [`ShardedSlot`] MPMC sharded drain vs concurrent pushes (the stages'
 //!    pending sets and the fabric's request queue): every submission rides
 //!    exactly one window across the racing drain and the final sweep.
+//! 10. [`DimPageCache`] decoded-page fill race (the admission pools'
+//!     write-once page slots): a straggler and its re-dispatched subscans
+//!     missing the same pages publish each page exactly once, and every
+//!     racer scans (and stages) the published rows.
 //!
 //! Every faithful scenario must *exhaust* its schedule space
 //! (`report.complete`) and explore at least 1 000 distinct schedules; every
@@ -45,6 +49,7 @@
 use loom::thread;
 use loom::{Builder, Report};
 
+use workshare_cjoin::dimcache::{DecodedPage, DimPageCache, FillMutation};
 use workshare_cjoin::epoch::{EpochFilterSpec, EpochMutation};
 use workshare_cjoin::publish::{FilterSpec, PublishMutation};
 use workshare_cjoin::window::{
@@ -53,10 +58,11 @@ use workshare_cjoin::window::{
 };
 use workshare_cjoin::wrap::{WrapLedger, WrapMutation};
 use workshare_common::sync::{Arc, AtomicBool, AtomicU64, Ordering};
-use workshare_common::QueryBitmap;
+use workshare_common::{QueryBitmap, Value};
 use workshare_core::cell::{CellMutation, CompletionCell};
 use workshare_core::lease::{LeaseMutation, LeaseRegistry, Leased};
 use workshare_core::slots::{ServiceSlots, SlotMutation};
+use workshare_storage::TableId;
 
 /// The suite's preemption bound. The scenarios' full interleaving spaces
 /// run past the schedule cap (the lease scenario alone exceeds 10⁵), so we
@@ -687,6 +693,73 @@ fn sharded_drain_vs_submission_holds() {
 #[test]
 fn sharded_mutation_torn_drain_is_caught() {
     assert!(catches(sharded_scenario(ShardMutation::TornDrain)));
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 10: decoded-dimension-page fill race
+// ---------------------------------------------------------------------------
+
+/// A supervised fabric window's straggler and its re-dispatched subscans
+/// scan the same page range. Each finds the pages missing from the pool's
+/// [`DimPageCache`], decodes them, and races to fill the write-once slots
+/// (the same `get_or_fill` call `run_scan_unit` makes). Invariants: each
+/// page is published exactly once (the cache counts one decode per page);
+/// every racer comes back with the published rows — the same `Arc`s, so
+/// whichever attempt wins the scan claim stages the cached rows — and the
+/// slots keep them.
+fn fill_scenario(mutation: FillMutation) -> impl Fn() + Send + Sync + 'static {
+    const ATTEMPTS: i64 = 3;
+    const PAGES: usize = 2;
+    move || {
+        let cache = Arc::new(DimPageCache::with_mutation(mutation));
+        let scan = |cache: Arc<DimPageCache>, attempt: i64| -> Vec<DecodedPage> {
+            let slots = cache.table(TableId(0), PAGES);
+            slots
+                .iter()
+                .enumerate()
+                .map(|(p, slot)| {
+                    let decode = || {
+                        let row = vec![Value::Int(p as i64), Value::Int(attempt)];
+                        Ok::<DecodedPage, ()>(vec![Arc::new(row)].into())
+                    };
+                    cache.get_or_fill(slot, decode).unwrap().0
+                })
+                .collect()
+        };
+        let ts: Vec<_> = (1..ATTEMPTS)
+            .map(|a| {
+                let cache = Arc::clone(&cache);
+                thread::spawn(move || scan(cache, a))
+            })
+            .collect();
+        // The original attempt runs on this thread, racing the re-dispatches.
+        let mine = scan(Arc::clone(&cache), 0);
+        for t in ts {
+            let theirs = t.join().unwrap();
+            for (a, b) in mine.iter().zip(&theirs) {
+                assert!(Arc::ptr_eq(a, b), "racers scanned different copies of a page");
+            }
+        }
+        assert_eq!(
+            cache.decodes(),
+            PAGES as u64,
+            "a page was published more (or less) than once"
+        );
+        let slots = cache.table(TableId(0), PAGES);
+        for (slot, page) in slots.iter().zip(&mine) {
+            assert!(Arc::ptr_eq(&slot.get().unwrap(), page), "published page replaced");
+        }
+    }
+}
+
+#[test]
+fn decoded_page_fill_is_write_once_holds() {
+    check_exhaustive(fill_scenario(FillMutation::None));
+}
+
+#[test]
+fn fill_mutation_overwrite_after_publish_is_caught() {
+    assert!(catches(fill_scenario(FillMutation::OverwriteAfterPublish)));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 use std::sync::OnceLock;
 
 use workshare::harness::{run_batch, run_clients};
-use workshare::{workload, Dataset, IoMode, NamedConfig, RunConfig};
-use workshare_sim::{CostKind, COST_KINDS};
+use workshare::{workload, Dataset, Engine, ExecPolicy, IoMode, NamedConfig, RunConfig, StarQuery};
+use workshare_sim::{CostKind, Machine, COST_KINDS};
 
 fn ssb() -> &'static Dataset {
     static D: OnceLock<Dataset> = OnceLock::new();
@@ -201,6 +201,8 @@ fn fabric_counts_each_physical_page_once_and_keeps_logical_rows_invariant() {
     let once = pages("customer") + pages("supplier") + pages("date");
     assert_eq!(fs.admission_dim_pages, once * fs.batches, "{fs:?}");
     assert!(fs.cross_stage_batches >= 1, "window never merged stages: {fs:?}");
+    // The fabric decoded each of those pages once, for both stages.
+    assert_eq!(fs.dim_page_decodes, once, "{fs:?}");
 
     // Logical per-query volume is batching-invariant: identical per stage
     // and in aggregate, however the scans were pooled — while the fabric's
@@ -223,6 +225,46 @@ fn fabric_counts_each_physical_page_once_and_keeps_logical_rows_invariant() {
         fs.admission_dim_pages < perstage_cj.admission_dim_pages,
         "cross-stage sharing must reduce physical reads: fabric {fs:?} vs {perstage_cj:?}"
     );
+}
+
+#[test]
+fn a_second_fabric_window_decodes_no_dimension_page() {
+    // The fabric keeps the dimension pages it decoded: a later window over
+    // the same dimensions scans every page again (counted per window) but
+    // reads and decodes none of them.
+    let cfg = RunConfig::governed(ExecPolicy::Shared);
+    let machine = Machine::new(cfg.machine_config());
+    let storage = ssb().instantiate(cfg.storage_config(), cfg.cost);
+    let engine = Engine::new(&machine, &storage, &cfg, "lineorder");
+    let mut r = workload::rng(9);
+    let first: Vec<StarQuery> = (0..3).map(|i| workload::ssb_q3_2(i, &mut r)).collect();
+    let second: Vec<StarQuery> = (3..6).map(|i| workload::ssb_q3_2(i, &mut r)).collect();
+    let e2 = engine.clone();
+    let (cold, warm) = machine
+        .spawn("harness", move |_ctx| {
+            let run = |qs: &[StarQuery]| {
+                let tickets: Vec<_> = qs.iter().map(|q| e2.submit(q)).collect();
+                for t in &tickets {
+                    t.wait();
+                }
+                e2.fabric_stats().expect("governed engines run the fabric")
+            };
+            (run(&first), run(&second))
+        })
+        .join()
+        .unwrap();
+    engine.shutdown();
+    let pages = |t: &str| storage.page_count(storage.table(t)) as u64;
+    let once = pages("customer") + pages("supplier") + pages("date");
+    assert_eq!(cold.dim_page_decodes, once, "{cold:?}");
+    let windows = warm.batches - cold.batches;
+    assert!(windows > 0, "the second batch ran no window: {warm:?}");
+    assert_eq!(
+        warm.admission_dim_pages - cold.admission_dim_pages,
+        once * windows,
+        "{warm:?}"
+    );
+    assert_eq!(warm.dim_page_decodes, cold.dim_page_decodes, "{warm:?}");
 }
 
 #[test]
